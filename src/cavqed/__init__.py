@@ -15,14 +15,13 @@ Layers, from cheap to expensive:
 * :mod:`cavqed.cli`         -- command-line recipes and CSV emission
 """
 
-from .units import Detuning, PhysicalConstants
+from .units import Detuning
 from .polariton import PolaritonPair, Spectrum, SystemParams
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Detuning",
-    "PhysicalConstants",
     "PolaritonPair",
     "Spectrum",
     "SystemParams",

@@ -1,12 +1,18 @@
 """Master-equation layer: propagation, steady state, spectra, correlations.
 
-The Lindblad generator is assembled as a dense matrix acting on row-major
+The Lindblad generator L is assembled as a dense matrix acting on row-major
 vectorized density matrices (dimensions here never exceed a few hundred).
-Time propagation uses a fourth-order fixed-step one-step matrix applied
-through binary powering, which reproduces the stepwise integration exactly
-while keeping long evolutions cheap.  Two-time quantities use the quantum
-regression theorem: operator-conditioned states are propagated with the
-same generator as the density matrix.
+Each model diagonalizes L once, on first use, as L = V Λ V⁻¹, and every
+dynamical quantity comes from that one decomposition:
+
+* propagation is e^{Lt} = V e^{Λt} V⁻¹;
+* a two-time correlation (quantum regression theorem) is Σ_k c_k e^{λ_k τ};
+* a spectrum is the exact resolvent Re Σ_k c_k / (2πiΔν − λ_k).
+
+When the eigenvector matrix is too ill-conditioned for that to be accurate
+(cond(V) above ``_COND_MAX``, as near an exceptional point), propagation
+falls back to ``scipy.linalg.expm`` and the spectrum to a direct solve of
+(2πiΔν − L).  The steady state is an independent SVD null-space solve.
 
 Frequencies are ordinary GHz, times ns; the generator itself is in rad/ns.
 """
@@ -15,8 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import hilbert
 from .hilbert import StateSpace, collapse_channels, hamiltonian
@@ -38,8 +47,15 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-_MIN_STEP_NS = 1e-12
-_STEP_SAFETY = 0.02  # fine-step size in units of 1/||L||
+# Above this cond(V), V e^{Λt} V⁻¹ loses more than ~1e-10 of accuracy and
+# the expm / direct-solve path is used instead.
+_COND_MAX = 1e6
+# Eigenvalues with Re λ above -_UNDAMPED_REL * max|λ| do not decay within
+# the precision of the decomposition (the stationary state among them).
+_UNDAMPED_REL = 1e-9
+# Largest share of a correlation's weight that undamped terms may carry
+# before the spectrum would need a delta line.
+_UNDAMPED_WEIGHT = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -87,6 +103,15 @@ def liouvillian(h_ang: np.ndarray, jump_ops: list[np.ndarray]) -> np.ndarray:
     return gen
 
 
+class _Eigen(NamedTuple):
+    """L = V diag(evals) V⁻¹; ``vinv`` is None when cond(V) > _COND_MAX."""
+
+    evals: np.ndarray
+    vecs: np.ndarray
+    vinv: np.ndarray | None
+    cond: float
+
+
 @dataclass(frozen=True)
 class _Model:
     """Prebuilt operators and generator for one parameter point."""
@@ -97,6 +122,18 @@ class _Model:
     h_ang: np.ndarray
     channels: list
     generator: np.ndarray
+
+    @cached_property
+    def eigen(self) -> _Eigen:
+        """Eigendecomposition of the generator, computed on first use."""
+        # QZ with B = I instead of geev: geev's scaling balance loses ~1e-8
+        # of accuracy when tiny rates (entries ~1e-28) sit next to large ones.
+        gen = self.generator
+        evals, vecs = scipy.linalg.eig(gen, np.eye(gen.shape[0]))
+        vecs /= np.linalg.norm(vecs, axis=0)
+        cond = float(np.linalg.cond(vecs))
+        vinv = np.linalg.inv(vecs) if cond <= _COND_MAX else None
+        return _Eigen(evals, vecs, vinv, cond)
 
 
 def build_model(p: SystemParams, detuning: Detuning | None = None) -> _Model:
@@ -109,60 +146,12 @@ def build_model(p: SystemParams, detuning: Detuning | None = None) -> _Model:
     return _Model(p, detuning, space, h_ang, channels, liouvillian(h_ang, jumps))
 
 
-class _Propagator:
-    """Binary-powered fourth-order one-step matrix for a fixed generator."""
-
-    def __init__(self, generator: np.ndarray, step_scale_hint: float | None = None):
-        self.gen = generator
-        scale = float(np.linalg.norm(generator, np.inf))
-        if step_scale_hint:
-            scale = max(scale, step_scale_hint)
-        self.rate_scale = max(scale, 1e-12)
-        self.h_target = _STEP_SAFETY / self.rate_scale
-        if self.h_target < _MIN_STEP_NS:
-            raise NumericalError(
-                f"step-size underflow: generator scale {self.rate_scale:.3e} rad/ns "
-                f"needs step {self.h_target:.3e} ns < {_MIN_STEP_NS} ns"
-            )
-        self._cache: dict[float, np.ndarray] = {}
-
-    def _one_step(self, h: float) -> np.ndarray:
-        ident = np.eye(self.gen.shape[0], dtype=complex)
-        hg = h * self.gen
-        acc = ident + hg / 4.0
-        acc = ident + (hg / 3.0) @ acc
-        acc = ident + (hg / 2.0) @ acc
-        return ident + hg @ acc
-
-    def segment_matrix(self, dt: float) -> np.ndarray:
-        """Propagator over ``dt`` as the n-th power of a fine RK4 step."""
-        if dt < 0:
-            raise ValueError("cannot propagate backwards")
-        key = round(dt, 15)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if dt == 0.0:
-            mat = np.eye(self.gen.shape[0], dtype=complex)
-        else:
-            n = max(1, int(math.ceil(dt / self.h_target)))
-            step = self._one_step(dt / n)
-            mat = _matrix_power(step, n)
-        if len(self._cache) < 64:
-            self._cache[key] = mat
-        return mat
-
-
-def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
-    result = None
-    base = m
-    while n:
-        if n & 1:
-            result = base if result is None else result @ base
-        n >>= 1
-        if n:
-            base = base @ base
-    return result
+def _propagate(model: _Model, vec0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Vectorized states e^{Lt} vec0 for every t, shape (len(t), dim**2)."""
+    eig = model.eigen
+    if eig.vinv is None:
+        return np.array([scipy.linalg.expm(model.generator * ti) @ vec0 for ti in t])
+    return (np.exp(np.outer(t, eig.evals)) * (eig.vinv @ vec0)) @ eig.vecs.T
 
 
 def _check_state(rho: np.ndarray, where: str) -> None:
@@ -196,18 +185,10 @@ def evolve(rho0: np.ndarray, p: SystemParams, t_grid_ns: np.ndarray,
     d = model.space.dim
     if rho0.shape != (d, d):
         raise ValueError(f"state has shape {rho0.shape}, expected {(d, d)}")
-    prop = _Propagator(model.generator)
-    out = np.empty((t_grid.size, d, d), dtype=complex)
-    vec = rho0.reshape(-1).copy()
-    prev = 0.0
-    for i, t in enumerate(t_grid):
-        dt = t - prev
-        if dt > 0:
-            vec = prop.segment_matrix(dt) @ vec
-            prev = t
-        out[i] = vec.reshape(d, d)
-        if validate:
-            _check_state(out[i], f"evolve at t={t} ns")
+    out = _propagate(model, rho0.reshape(-1), t_grid).reshape(t_grid.size, d, d)
+    if validate:
+        for t, rho in zip(t_grid, out):
+            _check_state(rho, f"evolve at t={t} ns")
     return out
 
 
@@ -258,36 +239,52 @@ def _sources(model: _Model, source: str):
     return [(source, op, w)]
 
 
-def _correlation_decay(prop: _Propagator, x0: np.ndarray, probe: np.ndarray,
-                       dt: float, floor: float, max_samples: int = 1 << 21):
-    """Sample Tr(probe† X(tau)) on a uniform grid until it decays below floor."""
-    d = probe.shape[0]
-    step = prop.segment_matrix(dt)
-    vec = x0.reshape(-1).copy()
-    values = [np.vdot(probe, x0)]
-    scale = max(abs(values[0]), 1e-300)
-    block = 512
-    while len(values) < max_samples:
-        tail = []
-        for _ in range(block):
-            vec = step @ vec
-            tail.append(np.vdot(probe, vec.reshape(d, d)))
-        values.extend(tail)
-        if max(abs(v) for v in tail) < floor * scale:
-            break
-    return np.asarray(values)
+def _check_undamped(weight: float, total: float, label: str) -> None:
+    if weight > _UNDAMPED_WEIGHT * total:
+        raise NumericalError(
+            f"{label} correlation has an undamped part ({weight / total:.2e} of its "
+            "weight), e.g. a coherent field: the spectrum would hold a delta line"
+        )
+
+
+def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
+               z: np.ndarray, label: str) -> np.ndarray:
+    """Tr(op† (z − L)⁻¹ (op rho_ss)) at every z, the stationary part removed."""
+    x0 = (op @ rho_ss).reshape(-1)
+    probe = op.conj().reshape(-1)
+    eig = model.eigen
+    if eig.vinv is not None:
+        w = (probe @ eig.vecs) * (eig.vinv @ x0)
+        undamped = eig.evals.real >= -_UNDAMPED_REL * float(np.max(np.abs(eig.evals)))
+        _check_undamped(float(np.sum(np.abs(w[undamped]))), float(np.sum(np.abs(w))), label)
+        return (1.0 / np.subtract.outer(z, eig.evals[~undamped])) @ w[~undamped]
+    # Direct solve.  Subtracting the stationary part leaves a traceless
+    # right-hand side, on which adding rho_ss ⊗ Tr leaves (z − L)⁻¹
+    # unchanged but keeps the matrix regular at z = 0.
+    d = model.space.dim
+    rho_vec = rho_ss.reshape(-1)
+    trace_row = np.eye(d).reshape(-1)
+    stationary = trace_row @ x0
+    _check_undamped(abs(stationary * (probe @ rho_vec)), abs(probe @ x0), label)
+    rhs = x0 - stationary * rho_vec
+    base = np.outer(rho_vec, trace_row) - model.generator
+    ident = np.eye(d * d)
+    return np.array([probe @ np.linalg.solve(base + zi * ident, rhs) for zi in z])
 
 
 def emission_spectrum(p: SystemParams, detuning: Detuning | None = None,
                       grid_GHz: np.ndarray | None = None, source: str = "auto",
                       model: _Model | None = None) -> Spectrum:
-    """Emission spectrum by regression propagation of the field correlation.
+    """Emission spectrum as the exact resolvent of the field correlation.
 
     S(nu) is the one-sided transform of <op†(tau) op(0)> in the steady state,
-    evaluated on an absolute ordinary-frequency grid.  With ``source="auto"``
-    the cavity-loss and exciton-background output ports are summed with their
-    photon-flux weights, which is what a detector collecting both channels
-    sees.  Output is normalized to unit peak.
+    Re Tr(op† (2πi(nu − omega_m) − L)⁻¹ op rho_ss), evaluated through the
+    model's eigendecomposition (or a direct solve when it is ill-conditioned)
+    on an absolute ordinary-frequency grid.  An undamped part of the
+    correlation, which would be a delta line, raises :class:`NumericalError`.
+    With ``source="auto"`` the cavity-loss and exciton-background output
+    ports are summed with their photon-flux weights, which is what a detector
+    collecting both channels sees.  Output is normalized to unit peak.
     """
     if model is None:
         model = build_model(p, detuning)
@@ -306,24 +303,14 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None = None,
         )
     rho_ss = steady_state(p, detuning, model=model)
     omega_m = p.omega_m_GHz
-    rel = grid - omega_m
-    # Nyquist for the fastest surviving oscillation in the rotating frame.
-    f_osc = max(float(np.max(np.abs(rel))), abs(detuning.dw_GHz), 1.0)
-    f_osc += p.gamma_x_GHz + p.gamma_m_GHz
-    dt = 1.0 / (8.0 * f_osc)
-    prop = _Propagator(model.generator)
+    z = 2j * math.pi * (grid - omega_m)
     total = np.zeros(grid.size)
     parts = {}
     for label, op, weight in _sources(model, source):
         flux = weight * expectation(op.conj().T @ op, rho_ss)
         if flux <= 1e-30:
             continue
-        corr = _correlation_decay(prop, op @ rho_ss, op, dt, floor=1e-8)
-        tau = dt * np.arange(corr.size)
-        w = np.full(corr.size, dt)
-        w[0] = w[-1] = 0.5 * dt
-        kernel = np.exp(-2j * math.pi * np.outer(rel, tau))
-        part = weight * (kernel @ (w * corr)).real
+        part = weight * _resolvent(model, rho_ss, op, z, label).real
         parts[label] = part
         total = total + part
     if not parts:
@@ -338,24 +325,14 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None = None,
         grid, total / peak,
         components={k: v / peak for k, v in parts.items()},
         meta={"frame": "rotating@omega_m", "omega_m_GHz": omega_m,
-              "detuning_nm": detuning.dl_nm, "source": source, "tau_step_ns": dt},
+              "detuning_nm": detuning.dl_nm, "source": source},
     )
 
 
 def _propagate_probe(model: _Model, x0: np.ndarray, probe: np.ndarray,
                      tau_grid: np.ndarray) -> np.ndarray:
-    prop = _Propagator(model.generator)
-    d = model.space.dim
-    vec = x0.reshape(-1).copy()
-    out = np.empty(tau_grid.size, dtype=complex)
-    prev = 0.0
-    for i, t in enumerate(tau_grid):
-        dt = t - prev
-        if dt > 0:
-            vec = prop.segment_matrix(dt) @ vec
-            prev = t
-        out[i] = np.vdot(probe, vec.reshape(d, d))
-    return out
+    """Tr(probe† e^{L tau} x0) at every tau in the grid."""
+    return _propagate(model, x0.reshape(-1), tau_grid) @ probe.conj().reshape(-1)
 
 
 def g2_auto(p: SystemParams, detuning: Detuning | None = None,

@@ -54,7 +54,6 @@ class StateSpace:
     ad: np.ndarray         # photon creation
     sigma: np.ndarray      # |g><x|, exciton lowering
     sigma_f: np.ndarray | None  # |g><f|, feeder lowering (None for 2 levels)
-    identity: np.ndarray
     number: np.ndarray     # a†a
     projectors: dict = field(default_factory=dict)
 
@@ -123,7 +122,6 @@ def build_space(p: SystemParams) -> StateSpace:
         ad=a.conj().T,
         sigma=sigma,
         sigma_f=sigma_f,
-        identity=np.kron(ident_em, ident_ph),
         number=a.conj().T @ a,
         projectors=projectors,
     )

@@ -149,14 +149,6 @@ class Spectrum:
     def area(self) -> float:
         return float(np.trapezoid(self.intensity, self.axis))
 
-    def normalized_to_peak(self) -> "Spectrum":
-        peak = float(self.intensity.max())
-        if peak <= 0:
-            raise ValueError("cannot normalize a non-positive spectrum")
-        comps = {k: v / peak for k, v in self.components.items()}
-        return Spectrum(self.axis.copy(), self.intensity / peak, self.kind,
-                        comps, dict(self.meta))
-
     def to_wavelength(self) -> "Spectrum":
         """Convert a frequency-axis spectrum to wavelength (intensity per axis sample)."""
         if self.kind == "wavelength_nm":

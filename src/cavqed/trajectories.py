@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import hilbert
+from .dynamics import NumericalError
 from .hbt import Histogram
 from .polariton import SystemParams
 from .units import Detuning
@@ -168,8 +169,8 @@ class _Unraveling:
                             for j in self.jumps])
         total = weights.sum()
         if total <= 0:
-            raise RuntimeError("no jump channel has weight; state diagnostics: "
-                               f"norm2={np.vdot(psi_unnorm, psi_unnorm).real:.3e}")
+            raise NumericalError("no jump channel has weight; state diagnostics: "
+                                 f"norm2={np.vdot(psi_unnorm, psi_unnorm).real:.3e}")
         k = rng.choice(len(self.jumps), p=weights / total)
         psi = self.jumps[k] @ psi_unnorm
         nrm = math.sqrt(np.vdot(psi, psi).real)
@@ -190,7 +191,7 @@ class _Unraveling:
             if n2_hi <= 0.0:
                 step *= 0.25
                 if step < 1e-9 * max(seg, 1.0):
-                    raise RuntimeError(
+                    raise NumericalError(
                         f"zero-norm state while bracketing a jump at dt={hi:.3e} ns"
                     )
                 continue
@@ -241,7 +242,7 @@ class _Unraveling:
                 psi_end = self.state_at(coeff, seg)
                 nrm2 = np.vdot(psi_end, psi_end).real
                 if nrm2 < _NORM_FLOOR:
-                    raise RuntimeError(
+                    raise NumericalError(
                         f"zero-norm state at t={t_to} ns (norm2={nrm2:.3e})"
                     )
                 # Renormalizing mid-flight rescales the remaining threshold so

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 __all__ = [
     "SPEED_OF_LIGHT_NM_GHZ",
     "PLANCK_UEV_PER_GHZ",
-    "PhysicalConstants",
     "Detuning",
     "energy_to_frequency",
     "frequency_to_energy",
@@ -29,21 +28,12 @@ __all__ = [
     "frequency_to_detuning",
     "q_factor",
     "lifetime_from_fwhm",
-    "fwhm_from_lifetime",
 ]
 
 # c in nm*GHz (= nm/ns); CODATA exact.
 SPEED_OF_LIGHT_NM_GHZ = 2.99792458e8
 # h in micro-eV per GHz; CODATA exact (6.62607015e-34 J*s / e).
 PLANCK_UEV_PER_GHZ = 4.135667696
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable bundle of the two constants the physics needs."""
-
-    c_nm_GHz: float = SPEED_OF_LIGHT_NM_GHZ
-    h_ueV_per_GHz: float = PLANCK_UEV_PER_GHZ
 
 
 def energy_to_frequency(e_ueV: float) -> float:
@@ -103,13 +93,6 @@ def lifetime_from_fwhm(gamma_GHz: float) -> float:
     if gamma_GHz <= 0:
         raise ValueError(f"rate must be positive, got {gamma_GHz}")
     return 1.0 / (2.0 * math.pi * gamma_GHz)
-
-
-def fwhm_from_lifetime(tau_ns: float) -> float:
-    """FWHM linewidth in GHz of a state with lifetime ``tau_ns``."""
-    if tau_ns <= 0:
-        raise ValueError(f"lifetime must be positive, got {tau_ns}")
-    return 1.0 / (2.0 * math.pi * tau_ns)
 
 
 @dataclass(frozen=True)

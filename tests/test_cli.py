@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from cavqed import trajectories
 from cavqed.cli import main
 from cavqed.csvio import read_csv, write_csv
 
@@ -132,6 +133,16 @@ def test_g2_regression_cross(tmp_path):
     tau, g2 = cols["tau_ns"], cols["g2"]
     assert g2[np.argmin(np.abs(tau))] < 0.2
     assert g2[-1] > 0.7
+
+
+def test_trajectory_zero_norm_exits_numeric(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CAVQED_THREADS", "1")
+    monkeypatch.setattr(trajectories._Unraveling, "norm2_at",
+                        lambda self, coeff, dt: 0.0)
+    assert run(["g2", "--kind", "auto", "--method", "trajectories",
+                "--detuning-nm", "0", "--seed", "3", "--duration-ns", "100",
+                "--out-prefix", tmp_path / "z"]) == 3
+    assert "numerical failure:" in capsys.readouterr().err
 
 
 def test_g2_trajectories_byte_identical(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from cavqed import dynamics, fitkit, hilbert
 from cavqed.dynamics import (
@@ -87,6 +88,60 @@ class TestEvolve:
             exact.append(abs(u[0, 0]) ** 2)
         assert np.max(np.abs(pops - np.array(exact))) < 1e-6
 
+    def test_exceptional_point_matches_expm(self):
+        # g = |gamma_x - gamma_m|/4 with no dephasing: the polariton pair
+        # coalesces, L is defective and V is numerically singular
+        p = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5,
+                         gamma_m_GHz=24.1, gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3)
+        model = dynamics.build_model(p, RES)
+        assert model.eigen.cond > dynamics._COND_MAX
+        rho0 = _pure(model.space, hilbert.EXCITON, 0)
+        t = np.linspace(0.0, 0.5, 11)
+        rhos = evolve(rho0, p, t, model=model)
+        exact = [scipy.linalg.expm(model.generator * tt) @ rho0.reshape(-1) for tt in t]
+        assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
+
+    @pytest.mark.parametrize("p,source", [
+        (SystemParams(), "cavity"),
+        # no dephasing: L at zero frequency has an exactly singular LU pivot
+        (SystemParams(g_GHz=0.0, gamma_b_GHz=8.5, pump_GHz=0.5, n_max=1), "exciton"),
+    ])
+    def test_forced_fallback_matches_eigen_path(self, monkeypatch, p, source):
+        eig_model = dynamics.build_model(p, RES)
+        assert eig_model.eigen.vinv is not None  # decomposed before the patch
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.0)
+        fb_model = dynamics.build_model(p, RES)
+        assert fb_model.eigen.vinv is None
+        rho0 = _pure(eig_model.space, hilbert.EXCITON, 1)
+        t = np.linspace(0.0, 2.0, 9)
+        assert np.max(np.abs(evolve(rho0, p, t, model=fb_model)
+                             - evolve(rho0, p, t, model=eig_model))) < 1e-9
+        tau = np.linspace(0.0, 20.0, 41)
+        fb_g2 = g2_auto(p, RES, tau, source=source, model=fb_model)
+        eig_g2 = g2_auto(p, RES, tau, source=source, model=eig_model)
+        assert np.max(np.abs(fb_g2.values - eig_g2.values)) < 1e-9
+        grid = np.linspace(p.omega_m_GHz - 150, p.omega_m_GHz + 150, 401)
+        assert 0.0 in grid - p.omega_m_GHz  # the resolvent's stationary point
+        fb_spec = emission_spectrum(p, RES, grid, source=source, model=fb_model)
+        eig_spec = emission_spectrum(p, RES, grid, source=source, model=eig_model)
+        assert np.max(np.abs(fb_spec.intensity - eig_spec.intensity)) < 1e-9
+
+    @given(g=st.floats(0.0, 40.0), gx=st.floats(0.1, 40.0), gm=st.floats(0.1, 40.0),
+           b_share=st.floats(0.0, 1.0), pump=st.floats(0.0, 2.0),
+           dw=st.floats(-2000.0, 2000.0), n_max=st.sampled_from([1, 2, 3]))
+    def test_propagation_matches_expm(self, g, gx, gm, b_share, pump, dw, n_max):
+        p = SystemParams(g_GHz=g, gamma_x_GHz=gx, gamma_m_GHz=gm,
+                         gamma_b_GHz=b_share * gx, pump_GHz=pump, n_max=n_max)
+        model = dynamics.build_model(p, Detuning.from_GHz(dw, 942.5))
+        rho0 = _pure(model.space, hilbert.EXCITON, 1)
+        t = np.array([0.0, 0.003, 0.05, 0.5])
+        rhos = evolve(rho0, p, t, model=model, validate=False)
+        exact = [scipy.linalg.expm(model.generator * tt) @ rho0.reshape(-1) for tt in t]
+        assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
+        for r in rhos:
+            assert abs(np.trace(r) - 1.0) < 1e-9
+            assert np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T))) > -1e-9
+
 
 class TestSteadyState:
     def test_no_pump_gives_vacuum(self):
@@ -167,6 +222,17 @@ class TestEmissionSpectrum:
         grid = np.arange(PAPER.omega_m_GHz - 100, PAPER.omega_m_GHz + 100, 9.0)
         with pytest.raises(ValueError, match="too coarse"):
             emission_spectrum(PAPER, RES, grid)
+
+    @pytest.mark.parametrize("cond_max", [dynamics._COND_MAX, 0.0])
+    def test_undamped_part_rejected(self, monkeypatch, cond_max):
+        # <n(tau) n(0)> tends to <n>^2, a stationary part the resolvent
+        # cannot hold (a field with <a> != 0 would do the same)
+        monkeypatch.setattr(dynamics, "_COND_MAX", cond_max)
+        model = dynamics.build_model(PAPER, RES)
+        rho = steady_state(PAPER, model=model)
+        z = 2j * math.pi * np.linspace(-50.0, 50.0, 5)
+        with pytest.raises(NumericalError, match="undamped"):
+            dynamics._resolvent(model, rho, model.space.number, z, "number")
 
     @pytest.mark.parametrize("g,dw", [(0.0, 0.0), (0.0, 50.0), (5.0, 0.0),
                                       (5.0, -50.0), (18.4, 0.0), (18.4, 50.0),

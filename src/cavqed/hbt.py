@@ -5,6 +5,10 @@ beam splitter, start-stop (first-stop) or all-pairs delay histogramming over
 a finite window, CW and pulsed g2 normalization, and pulsed peak-area
 analysis.  Everything operates on plain sorted float arrays of click times
 in ns, so the same code digests simulated and imported data.
+
+The all-pairs histogram is one two-sided pass that streams pair delays into
+bin counts in fixed-size chunks and never holds a pair list, so its memory
+is bounded independently of the pair count.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ __all__ = [
     "start_stop_histogram",
     "normalize_g2",
     "pulsed_peak_areas",
-    "merge_histograms",
     "poisson_stream",
 ]
+
+# Pairs histogrammed per chunk of the all-pairs pass: bounds its working memory.
+_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass
@@ -80,17 +86,38 @@ def split_beam(times_ns: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]
     return times[to_a], times[~to_a]
 
 
-def _pairs_within(starts: np.ndarray, stops: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Delays stop - start for every pair with lo <= delay <= hi (vectorized)."""
-    left = np.searchsorted(stops, starts + lo, side="left")
-    right = np.searchsorted(stops, starts + hi, side="right")
-    counts = right - left
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0)
-    offsets = np.repeat(left, counts)
-    within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return stops[offsets + within] - np.repeat(starts, counts)
+def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
+                      edges: np.ndarray) -> np.ndarray:
+    """Histogram of stop - start over every pair, in one two-sided pass.
+
+    The search bounds are widened by 4 ulps of the largest time so that
+    rounding of start ± window never drops a pair whose computed delay is in
+    range; ``np.histogram``'s range test on the delay then decides.  Pairs
+    are visited in chunks of ``_CHUNK_PAIRS``, cut anywhere in a start's run
+    of stops.
+    """
+    scale = max(abs(starts[0]), abs(starts[-1]), abs(stops[0]), abs(stops[-1]),
+                edges[-1])
+    reach = edges[-1] + 4 * np.spacing(scale)
+    first = np.searchsorted(stops, starts - reach, side="left")
+    n_pairs = np.searchsorted(stops, starts + reach, side="right") - first
+    busy = n_pairs > 0                  # so a chunk spans at most its pairs + 1 starts
+    starts, first, n_pairs = starts[busy], first[busy], n_pairs[busy]
+    ends = np.cumsum(n_pairs)           # one past the last pair of each start
+    begins = ends - n_pairs
+    shift = begins - first              # pair index - stop index within a run
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    total = int(n_pairs.sum())
+    for lo in range(0, total, _CHUNK_PAIRS):
+        hi = min(lo + _CHUNK_PAIRS, total)
+        # starts whose runs overlap pairs [lo, hi), each adding at least one
+        s0 = int(np.searchsorted(ends, lo, side="right"))
+        s1 = int(np.searchsorted(ends, hi, side="left")) + 1
+        take = np.minimum(ends[s0:s1], hi) - np.maximum(begins[s0:s1], lo)
+        owner = np.repeat(np.arange(s0, s1), take)
+        delays = stops[np.arange(lo, hi) - shift[owner]] - starts[owner]
+        counts += np.histogram(delays, bins=edges)[0]
+    return counts
 
 
 def _first_stops(starts: np.ndarray, stops: np.ndarray, window: float) -> np.ndarray:
@@ -111,6 +138,13 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
     whichever stream fires first.  ``estimator`` selects ``"all-pairs"``
     (every pair inside the window; unbiased at high rates) or
     ``"start-stop"`` (first stop per start, the hardware TAC behaviour).
+
+    All-pairs counts every pair whose computed delay ``stop - start`` lies
+    in the histogram range by ``np.histogram``'s rule (bins half-open, the
+    last one closed).  Both signs come from one pass, so an exact-zero delay
+    counts once, in the bin starting at 0.  The pass works in chunks of a
+    fixed number of pairs, so its memory is bounded independently of the
+    pair count.
     """
     starts = np.asarray(starts_ns, dtype=float)
     stops = np.asarray(stops_ns, dtype=float)
@@ -123,16 +157,15 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
     n_bins = int(round(window_ns / bin_ns))
     edges = bin_ns * np.arange(-n_bins, n_bins + 1)
     if estimator == "all-pairs":
-        pos = _pairs_within(starts, stops, 0.0, edges[-1])
-        neg = _pairs_within(stops, starts, 0.0, edges[-1])
+        counts = _all_pairs_counts(starts, stops, edges)
     elif estimator == "start-stop":
         pos = _first_stops(starts, stops, edges[-1])
         neg = _first_stops(stops, starts, edges[-1])
+        neg = neg[neg > 0]  # exact-zero pairs belong to the positive side only
+        counts = (np.histogram(pos, bins=edges)[0]
+                  + np.histogram(-neg, bins=edges)[0])
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    neg = neg[neg > 0]  # exact-zero pairs belong to the positive side only
-    counts = (np.histogram(pos, bins=edges)[0]
-              + np.histogram(-neg, bins=edges)[0])
     return Histogram(edges, counts, n_starts=starts.size, n_stops=stops.size,
                      meta={"estimator": estimator, "bin_ns": bin_ns,
                            "window_ns": window_ns})
@@ -196,23 +229,6 @@ def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
                           ratio=central / mean_side, peak_offsets=offsets,
                           peak_areas=areas, half_window_ns=half_window_ns,
                           rep_period_ns=rep_period_ns)
-
-
-def merge_histograms(parts: list[Histogram]) -> Histogram:
-    """Sum shard histograms accumulated over disjoint start ranges."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    first = parts[0]
-    for h in parts[1:]:
-        if not np.array_equal(h.bin_edges_ns, first.bin_edges_ns):
-            raise ValueError("histograms have different binning")
-    return Histogram(
-        first.bin_edges_ns.copy(),
-        np.sum([h.counts for h in parts], axis=0),
-        n_starts=sum(h.n_starts for h in parts),
-        n_stops=sum(h.n_stops for h in parts),
-        meta=dict(first.meta),
-    )
 
 
 def poisson_stream(rate_per_ns: float, duration_ns: float, seed: int,

@@ -2,10 +2,12 @@
 
 Between jumps the state evolves under the non-Hermitian drift
 H_eff = H - (i/2) sum_k J_k†J_k, applied exactly through the eigen
-decomposition of H_eff, so the only time discretization anywhere is the
-1e-4 ns tolerance of the jump-time root find on the decaying norm.  Each
-jump is attributed to a collapse channel; cavity_loss jumps are "mode
-photons" and exciton_radiative jumps "exciton photons".
+decomposition of H_eff (or ``scipy.linalg.expm`` where its eigenvectors are
+too ill-conditioned, as near an exceptional point), so the only time
+discretization anywhere is the 1e-4 ns tolerance of the jump-time root find
+on the decaying norm.  Each jump is attributed to a collapse channel;
+cavity_loss jumps are "mode photons" and exciton_radiative jumps "exciton
+photons".
 
 Randomness comes from counter-based Philox streams keyed by
 (master seed, trajectory index), so runs are bit-reproducible and
@@ -18,9 +20,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
-from . import hilbert
+from . import dynamics, hilbert
 from .dynamics import NumericalError
 from .hbt import Histogram
 from .polariton import SystemParams
@@ -141,10 +144,16 @@ class _Unraveling:
         for j in self.jumps:
             h_eff = h_eff - 0.5j * (j.conj().T @ j)
         evals, vecs = np.linalg.eig(h_eff)
+        self.h_eff = h_eff
         self.evals = evals
         self.vecs = vecs
-        self.vinv = np.linalg.inv(vecs)
-        self.gram = vecs.conj().T @ vecs
+        # Above dynamics._COND_MAX the eigen path is inaccurate: coefficients
+        # are then the state itself, propagated with expm (vinv is None).
+        if np.linalg.cond(vecs) <= dynamics._COND_MAX:
+            self.vinv = np.linalg.inv(vecs)
+            self.gram = vecs.conj().T @ vecs
+        else:
+            self.vinv = self.gram = None
         self.ground = self.space.ket(hilbert.GROUND, 0)
         # H_eff annihilates the absolute ground state only when nothing pumps it.
         hg = h_eff @ self.ground
@@ -155,12 +164,17 @@ class _Unraveling:
         self.probe_step = 0.25 / fastest if fastest > 0 else 1.0
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
-        return self.vinv @ psi
+        return psi if self.vinv is None else self.vinv @ psi
 
     def state_at(self, coeff: np.ndarray, dt: float) -> np.ndarray:
+        if self.vinv is None:
+            return scipy.linalg.expm(-1j * self.h_eff * dt) @ coeff
         return self.vecs @ (coeff * np.exp(-1j * self.evals * dt))
 
     def norm2_at(self, coeff: np.ndarray, dt: float) -> float:
+        if self.vinv is None:
+            psi = self.state_at(coeff, dt)
+            return float(np.vdot(psi, psi).real)
         w = coeff * np.exp(-1j * self.evals * dt)
         return float(np.real(np.vdot(w, self.gram @ w)))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from cavqed import hbt
 from cavqed.hbt import (
     Histogram,
-    merge_histograms,
     normalize_g2,
     poisson_stream,
     pulsed_peak_areas,
@@ -87,9 +87,63 @@ class TestStartStopHistogram:
         h_full = start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0)
         h_a = start_stop_histogram(starts[:cut], stops, bin_ns=0.5, window_ns=10.0)
         h_b = start_stop_histogram(starts[cut:], stops, bin_ns=0.5, window_ns=10.0)
-        merged = merge_histograms([h_a, h_b])
-        assert np.array_equal(merged.counts, h_full.counts)
-        assert merged.n_starts == h_full.n_starts
+        assert np.array_equal(h_a.counts + h_b.counts, h_full.counts)
+        assert h_a.n_starts + h_b.n_starts == h_full.n_starts
+
+    @staticmethod
+    def _edge_case_streams(rng, bin_ns, window_ns, offset):
+        """Small streams on offset ± 2 windows with coincident clicks,
+        clicks exactly ±window and ±one bin apart, and clicks one ulp
+        beyond ±window."""
+        span = 2.0 * window_ns
+        starts = offset + np.sort(rng.uniform(-span, span, 150))
+        at = starts[rng.permutation(starts.size)]
+        stops = np.concatenate([
+            offset + rng.uniform(-span, span, 60),
+            at[:30],                                    # coincident
+            at[30:50] + window_ns, at[50:70] - window_ns,
+            at[70:90] + bin_ns, at[90:110] - bin_ns,
+            np.nextafter(at[110:130] + window_ns, np.inf),
+            np.nextafter(at[130:150] - window_ns, -np.inf),
+        ])
+        return starts, np.sort(stops)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e9])
+    @pytest.mark.parametrize("bin_ns,window_ns", [(0.25, 100.0), (0.5, 10.0),
+                                                  (2.0, 20.0)])
+    def test_all_pairs_matches_reference(self, bin_ns, window_ns, offset):
+        # every pair's delay histogrammed directly; around 0 the subtraction
+        # of a start from a stop can round, and near 1e9 ns an ulp of a click
+        # time is about 1e-7 ns
+        rng = np.random.default_rng(11)
+        starts, stops = self._edge_case_streams(rng, bin_ns, window_ns, offset)
+        h = start_stop_histogram(starts, stops, bin_ns=bin_ns, window_ns=window_ns)
+        ref = np.histogram((stops[None, :] - starts[:, None]).ravel(),
+                           bins=h.bin_edges_ns)[0]
+        assert np.array_equal(h.counts, ref)
+        assert h.counts.dtype == np.int64
+
+    def test_chunk_boundaries_inside_runs(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        starts, stops = self._edge_case_streams(rng, 0.5, 10.0, 1e9)
+        whole = start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0)
+        monkeypatch.setattr(hbt, "_CHUNK_PAIRS", 7)
+        chunked = start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0)
+        assert whole.counts.sum() > 100 * 7  # many chunks, most cutting a run
+        assert np.array_equal(chunked.counts, whole.counts)
+
+    def test_all_pairs_memory_bounded(self):
+        # ~1e7 pairs; holding them as a pair list would take hundreds of MB
+        starts = poisson_stream(1.0, 1e5, seed=13, stream_index=0)
+        stops = poisson_stream(1.0, 1e5, seed=13, stream_index=1)
+        tracemalloc.start()
+        try:
+            h = start_stop_histogram(starts, stops, bin_ns=0.25, window_ns=50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.counts.sum() > 9e6
+        assert peak < 32e6
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):

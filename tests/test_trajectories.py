@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavqed import dynamics, fitkit, hilbert, trajectories
 from cavqed.polariton import SystemParams, purcell_lifetime
@@ -63,6 +64,22 @@ def test_ensemble_matches_master_equation():
                       for r in rhos])
     z = np.abs(mean[1:] - exact[1:]) / np.maximum(err[1:], 1e-12)
     assert np.max(z) < 4.0
+
+
+def test_ill_conditioned_drift_matches_expm():
+    # g = |gamma_x - gamma_m|/4 with no dephasing: the polariton pair of
+    # H_eff coalesces and its eigenvector matrix is numerically singular
+    p = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5,
+                     gamma_m_GHz=24.1, gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3)
+    machine = trajectories._Unraveling(p, RES, include_pump=True)
+    assert np.linalg.cond(machine.vecs) > dynamics._COND_MAX
+    psi = machine.space.ket(hilbert.EXCITON, 0)
+    coeff = machine.coefficients(psi)
+    assert machine.norm2_at(coeff, 0.0) == pytest.approx(1.0, abs=1e-12)
+    for dt in (0.01, 0.1):
+        exact = scipy.linalg.expm(-1j * machine.h_eff * dt) @ psi
+        assert abs(machine.norm2_at(coeff, dt) - np.vdot(exact, exact).real) < 1e-9
+        assert np.max(np.abs(machine.state_at(coeff, dt) - exact)) < 1e-9
 
 
 class TestPulsed:

@@ -2,17 +2,20 @@
 
 The Lindblad generator L is assembled as a dense matrix acting on row-major
 vectorized density matrices (dimensions here never exceed a few hundred).
-Each model diagonalizes L once, on first use, as L = V Λ V⁻¹, and every
-dynamical quantity comes from that one decomposition:
+H and every collapse operator shift N = a†a + |x⟩⟨x| + |f⟩⟨f| by a fixed
+amount, so L is block-diagonal in the coherence order k = N_i − N_j of
+|i⟩⟨j|.  Each model diagonalizes a block on first use, L_k = V Λ V⁻¹:
 
-* propagation is e^{Lt} = V e^{Λt} V⁻¹;
-* a two-time correlation (quantum regression theorem) is Σ_k c_k e^{λ_k τ};
-* a spectrum is the exact resolvent Re Σ_k c_k / (2πiΔν − λ_k).
+* propagation is e^{Lt} = V e^{Λt} V⁻¹ on every block the state occupies;
+* a two-time correlation (quantum regression theorem) is Σ_k c_k e^{λ_k τ},
+  with the g2 vectors JρJ† in k = 0;
+* a spectrum is the exact resolvent Re Σ_k c_k / (2πiΔν − λ_k), with aρ
+  and σρ in k = −1.
 
-When the eigenvector matrix is too ill-conditioned for that to be accurate
-(cond(V) above ``_COND_MAX``, as near an exceptional point), propagation
-falls back to ``scipy.linalg.expm`` and the spectrum to a direct solve of
-(2πiΔν − L).  The steady state is an independent SVD null-space solve.
+Where a block's cond(V) exceeds ``_COND_MAX`` (near an exceptional point),
+propagation there falls back to ``scipy.linalg.expm`` and the spectrum to a
+direct solve of (2πiΔν − L_k).  The steady state is an independent SVD
+null-space solve on the k = 0 block, cached on the model.
 
 Frequencies are ordinary GHz, times ns; the generator itself is in rad/ns.
 """
@@ -56,6 +59,8 @@ _UNDAMPED_REL = 1e-9
 # Largest share of a correlation's weight that undamped terms may carry
 # before the spectrum would need a delta line.
 _UNDAMPED_WEIGHT = 1e-9
+# Mean population below which an output port is dark (ρss rounding is ~1e-15).
+_DARK = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -103,9 +108,11 @@ def liouvillian(h_ang: np.ndarray, jump_ops: list[np.ndarray]) -> np.ndarray:
     return gen
 
 
-class _Eigen(NamedTuple):
-    """L = V diag(evals) V⁻¹; ``vinv`` is None when cond(V) > _COND_MAX."""
+class _Block(NamedTuple):
+    """Block L[idx, idx] = V diag(evals) V⁻¹; ``vinv`` is None when cond(V) > _COND_MAX."""
 
+    idx: np.ndarray
+    gen: np.ndarray
     evals: np.ndarray
     vecs: np.ndarray
     vinv: np.ndarray | None
@@ -122,18 +129,58 @@ class _Model:
     h_ang: np.ndarray
     channels: list
     generator: np.ndarray
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def eigen(self) -> _Eigen:
-        """Eigendecomposition of the generator, computed on first use."""
-        # QZ with B = I instead of geev: geev's scaling balance loses ~1e-8
-        # of accuracy when tiny rates (entries ~1e-28) sit next to large ones.
-        gen = self.generator
-        evals, vecs = scipy.linalg.eig(gen, np.eye(gen.shape[0]))
-        vecs /= np.linalg.norm(vecs, axis=0)
-        cond = float(np.linalg.cond(vecs))
-        vinv = np.linalg.inv(vecs) if cond <= _COND_MAX else None
-        return _Eigen(evals, vecs, vinv, cond)
+    def orders(self) -> np.ndarray:
+        """Coherence order N_i − N_j of every vectorized entry |i⟩⟨j|."""
+        sp = self.space
+        n = np.diag(sp.number + np.eye(sp.dim) - sp.projectors["ground"]).real
+        return np.rint(np.subtract.outer(n, n)).astype(int).reshape(-1)
+
+    def block(self, k: int) -> _Block:
+        """Eigendecomposition of the order-k block, computed on first use."""
+        if k not in self._blocks:
+            idx = np.flatnonzero(self.orders == k)
+            gen = self.generator[np.ix_(idx, idx)]
+            # QZ with B = I instead of geev: geev's scaling balance loses ~1e-8
+            # of accuracy when tiny rates (entries ~1e-28) sit next to large ones.
+            evals, vecs = scipy.linalg.eig(gen, np.eye(idx.size))
+            vecs /= np.linalg.norm(vecs, axis=0)
+            cond = float(np.linalg.cond(vecs))
+            vinv = np.linalg.inv(vecs) if cond <= _COND_MAX else None
+            self._blocks[k] = _Block(idx, gen, evals, vecs, vinv, cond)
+        return self._blocks[k]
+
+    @property
+    def eigen(self) -> _Block:  # the k = 0 block: steady state and g2 vectors
+        return self.block(0)
+
+    @cached_property
+    def steady(self) -> np.ndarray:
+        """Null-space steady state of the k = 0 block, trace-normalized."""
+        idx = np.flatnonzero(self.orders == 0)
+        gen, d = self.generator[np.ix_(idx, idx)], self.space.dim
+        svals = np.linalg.svd(gen, compute_uv=False)
+        tol = max(1e-12 * svals[0], 1e-14)
+        null_dim = int(np.sum(svals < tol))
+        if null_dim > 1:
+            raise NumericalError(
+                f"degenerate steady state: generator null space has dimension {null_dim}"
+            )
+        trace_row = np.eye(d, dtype=complex).reshape(-1)[idx]
+        lhs = np.vstack([gen, trace_row * svals[0]])
+        rhs = np.zeros(idx.size + 1, dtype=complex)
+        rhs[-1] = svals[0]
+        vec, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        residual = float(np.linalg.norm(gen @ vec))
+        if residual > 1e-10:
+            raise NumericalError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+        rho = np.zeros((d, d), dtype=complex)
+        rho.flat[idx] = vec
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+        return rho
 
 
 def build_model(p: SystemParams, detuning: Detuning | None = None) -> _Model:
@@ -148,10 +195,15 @@ def build_model(p: SystemParams, detuning: Detuning | None = None) -> _Model:
 
 def _propagate(model: _Model, vec0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized states e^{Lt} vec0 for every t, shape (len(t), dim**2)."""
-    eig = model.eigen
-    if eig.vinv is None:
-        return np.array([scipy.linalg.expm(model.generator * ti) @ vec0 for ti in t])
-    return (np.exp(np.outer(t, eig.evals)) * (eig.vinv @ vec0)) @ eig.vecs.T
+    out = np.zeros((t.size, vec0.size), dtype=complex)
+    for k in np.unique(model.orders[vec0 != 0]):
+        b = model.block(k)
+        x = vec0[b.idx]
+        if b.vinv is None:
+            out[:, b.idx] = [scipy.linalg.expm(b.gen * ti) @ x for ti in t]
+        else:
+            out[:, b.idx] = (np.exp(np.outer(t, b.evals)) * (b.vinv @ x)) @ b.vecs.T
+    return out
 
 
 def _check_state(rho: np.ndarray, where: str) -> None:
@@ -196,32 +248,13 @@ def steady_state(p: SystemParams, detuning: Detuning | None = None,
                  model: _Model | None = None) -> np.ndarray:
     """Null-space steady state of the generator, trace-normalized.
 
+    The model solves it once, on its k = 0 block, and returns a copy here.
     Raises :class:`NumericalError` when the null space is degenerate (more
     than one stationary solution) or the residual exceeds 1e-10.
     """
     if model is None:
         model = build_model(p, detuning)
-    gen = model.generator
-    d = model.space.dim
-    svals = np.linalg.svd(gen, compute_uv=False)
-    tol = max(1e-12 * svals[0], 1e-14)
-    null_dim = int(np.sum(svals < tol))
-    if null_dim > 1:
-        raise NumericalError(
-            f"degenerate steady state: generator null space has dimension {null_dim}"
-        )
-    trace_row = np.eye(d, dtype=complex).reshape(1, -1)
-    lhs = np.vstack([gen, trace_row * svals[0]])
-    rhs = np.zeros(gen.shape[0] + 1, dtype=complex)
-    rhs[-1] = svals[0]
-    vec, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    residual = float(np.linalg.norm(gen @ vec))
-    if residual > 1e-10:
-        raise NumericalError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    rho = vec.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    return rho
+    return model.steady.copy()
 
 
 def _sources(model: _Model, source: str):
@@ -251,25 +284,30 @@ def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
                z: np.ndarray, label: str) -> np.ndarray:
     """Tr(op† (z − L)⁻¹ (op rho_ss)) at every z, the stationary part removed."""
     x0 = (op @ rho_ss).reshape(-1)
-    probe = op.conj().reshape(-1)
-    eig = model.eigen
-    if eig.vinv is not None:
-        w = (probe @ eig.vecs) * (eig.vinv @ x0)
-        undamped = eig.evals.real >= -_UNDAMPED_REL * float(np.max(np.abs(eig.evals)))
-        _check_undamped(float(np.sum(np.abs(w[undamped]))), float(np.sum(np.abs(w))), label)
-        return (1.0 / np.subtract.outer(z, eig.evals[~undamped])) @ w[~undamped]
-    # Direct solve.  Subtracting the stationary part leaves a traceless
-    # right-hand side, on which adding rho_ss ⊗ Tr leaves (z − L)⁻¹
-    # unchanged but keeps the matrix regular at z = 0.
-    d = model.space.dim
-    rho_vec = rho_ss.reshape(-1)
-    trace_row = np.eye(d).reshape(-1)
-    stationary = trace_row @ x0
-    _check_undamped(abs(stationary * (probe @ rho_vec)), abs(probe @ x0), label)
-    rhs = x0 - stationary * rho_vec
-    base = np.outer(rho_vec, trace_row) - model.generator
-    ident = np.eye(d * d)
-    return np.array([probe @ np.linalg.solve(base + zi * ident, rhs) for zi in z])
+    probe0 = op.conj().reshape(-1)
+    total = np.zeros(z.size, dtype=complex)
+    for k in np.unique(model.orders[x0 != 0]):
+        b = model.block(k)
+        x, probe = x0[b.idx], probe0[b.idx]
+        if b.vinv is not None:
+            w = (probe @ b.vecs) * (b.vinv @ x)
+            undamped = b.evals.real >= -_UNDAMPED_REL * float(np.max(np.abs(b.evals)))
+            _check_undamped(float(np.sum(np.abs(w[undamped]))), float(np.sum(np.abs(w))), label)
+            total += (1.0 / np.subtract.outer(z, b.evals[~undamped])) @ w[~undamped]
+            continue
+        # Direct solve.  Subtracting the stationary part leaves a traceless
+        # right-hand side, on which adding rho_ss ⊗ Tr leaves (z − L)⁻¹
+        # unchanged but keeps the matrix regular at z = 0.  Off k = 0 both
+        # restrict to zero, and so do these two terms.
+        rho_vec = rho_ss.reshape(-1)[b.idx]
+        trace_row = np.eye(model.space.dim).reshape(-1)[b.idx]
+        stationary = trace_row @ x
+        _check_undamped(abs(stationary * (probe @ rho_vec)), abs(probe @ x), label)
+        rhs = x - stationary * rho_vec
+        base = np.outer(rho_vec, trace_row) - b.gen
+        ident = np.eye(b.idx.size)
+        total += [probe @ np.linalg.solve(base + zi * ident, rhs) for zi in z]
+    return total
 
 
 def emission_spectrum(p: SystemParams, detuning: Detuning | None = None,
@@ -279,8 +317,9 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None = None,
 
     S(nu) is the one-sided transform of <op†(tau) op(0)> in the steady state,
     Re Tr(op† (2πi(nu − omega_m) − L)⁻¹ op rho_ss), evaluated through the
-    model's eigendecomposition (or a direct solve when it is ill-conditioned)
-    on an absolute ordinary-frequency grid.  An undamped part of the
+    eigendecomposition of the k = −1 block that a rho_ss and sigma rho_ss
+    occupy (or a direct solve when it is ill-conditioned) on an absolute
+    ordinary-frequency grid.  An undamped part of the
     correlation, which would be a delta line, raises :class:`NumericalError`.
     With ``source="auto"`` the cavity-loss and exciton-background output
     ports are summed with their photon-flux weights, which is what a detector
@@ -301,14 +340,13 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None = None,
             f"grid spacing {np.max(np.diff(grid)):.3g} GHz too coarse for the "
             f"narrowest line ({narrowest:.3g} GHz FWHM); refine below half of it"
         )
-    rho_ss = steady_state(p, detuning, model=model)
+    rho_ss = model.steady
     omega_m = p.omega_m_GHz
     z = 2j * math.pi * (grid - omega_m)
     total = np.zeros(grid.size)
     parts = {}
     for label, op, weight in _sources(model, source):
-        flux = weight * expectation(op.conj().T @ op, rho_ss)
-        if flux <= 1e-30:
+        if weight == 0 or expectation(op.conj().T @ op, rho_ss) <= _DARK:
             continue
         part = weight * _resolvent(model, rho_ss, op, z, label).real
         parts[label] = part
@@ -353,9 +391,9 @@ def g2_auto(p: SystemParams, detuning: Detuning | None = None,
         raise ValueError("tau grid must be increasing and non-negative")
     (label, op, _weight), = _sources(model, source)
     n_op = op.conj().T @ op
-    rho = steady_state(p, model=model) if rho0 is None else np.asarray(rho0, complex)
+    rho = model.steady if rho0 is None else np.asarray(rho0, complex)
     n_mean = expectation(n_op, rho)
-    if n_mean <= 1e-30:
+    if n_mean <= _DARK:
         raise NumericalError(f"zero emission from source {label!r}: cannot normalize g2")
     x0 = op @ rho @ op.conj().T
     raw = _propagate_probe(model, x0, n_op, tau)
@@ -363,9 +401,10 @@ def g2_auto(p: SystemParams, detuning: Detuning | None = None,
         denom = np.full(tau.size, n_mean**2)
     elif normalization == "time-local":
         rhos = evolve(rho, p, tau, validate=False, model=model)
-        denom = n_mean * np.array([expectation(n_op, r) for r in rhos])
-        if np.any(denom <= 1e-30):
+        n_t = np.array([expectation(n_op, r) for r in rhos])
+        if np.any(n_t <= _DARK):
             raise NumericalError("time-local intensity vanished along the trace")
+        denom = n_mean * n_t
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
     return CorrelationTrace(tau, raw / denom, normalization=float(n_mean**2),
@@ -391,10 +430,10 @@ def g2_cross(p: SystemParams, detuning: Detuning | None = None,
     a, sig = space.a, space.sigma
     n_m = a.conj().T @ a
     n_x = sig.conj().T @ sig
-    rho = steady_state(p, model=model)
+    rho = model.steady
     mean_x, mean_m = expectation(n_x, rho), expectation(n_m, rho)
     denom = mean_x * mean_m
-    if denom <= 1e-30:
+    if min(mean_x, mean_m) <= _DARK:
         raise NumericalError("cross-correlation undefined: one stream has zero rate")
     pos = _propagate_probe(model, sig @ rho @ sig.conj().T, n_m, tau) / denom
     neg = _propagate_probe(model, a @ rho @ a.conj().T, n_x, tau) / denom

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cavqed.dynamics import (
     g2_cross,
     steady_state,
 )
-from cavqed.polariton import SystemParams, eigenmodes
+from cavqed.polariton import SystemParams, eigenmodes, spectral_function
 from cavqed.units import Detuning
 
 TWO_PI = 2 * math.pi
@@ -23,11 +24,39 @@ RES = Detuning.zero(942.5)
 
 PAPER = SystemParams(g_GHz=18.4, gamma_x_GHz=8.5, gamma_m_GHz=24.1,
                      gamma_b_GHz=0.015, pump_GHz=0.01, n_max=5)
+FEEDER = SystemParams(lambda_x_nm=946.6, g_GHz=20.7, gamma_x_GHz=0.015,
+                      gamma_m_GHz=24.1, gamma_b_GHz=0.015, pump_GHz=0.002,
+                      transfer_GHz=0.05, n_max=5, emitter_levels=3,
+                      feeder_pump_GHz=0.01, feeder_decay_GHz=0.1224)
 
 
 def _pure(space, level, n):
     k = space.ket(level, n)
     return np.outer(k, k.conj())
+
+
+def _local_maxima(y, x):
+    i = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])) + 1
+    return x[i]
+
+
+@pytest.mark.parametrize("p,dl_nm", [(SystemParams(n_max=5), 0.0),
+                                     (SystemParams(n_max=5), 4.1),
+                                     (SystemParams(n_max=3), 0.2),
+                                     (FEEDER, 4.1)])
+def test_generator_block_diagonal_in_coherence_order(p, dl_nm):
+    # H and every channel shift N = a†a + |x><x| + |f><f| by a fixed amount,
+    # so L never mixes entries |i><j| of different order N_i - N_j
+    det = Detuning.from_nm(dl_nm, 942.5)
+    model = dynamics.build_model(p.with_detuning(det), det)
+    sp = model.space
+    n = np.empty(sp.dim, dtype=int)
+    for level in range(sp.emitter_levels):
+        for photons in range(sp.n_max + 1):
+            n[sp.index(level, photons)] = photons + (level != hilbert.GROUND)
+    orders = np.subtract.outer(n, n).reshape(-1)
+    assert np.array_equal(model.orders, orders)
+    assert np.all(model.generator[orders[:, None] != orders[None, :]] == 0)
 
 
 class TestEvolve:
@@ -126,6 +155,23 @@ class TestEvolve:
         eig_spec = emission_spectrum(p, RES, grid, source=source, model=eig_model)
         assert np.max(np.abs(fb_spec.intensity - eig_spec.intensity)) < 1e-9
 
+    @pytest.mark.parametrize("cond_max", [dynamics._COND_MAX, 0.0])
+    def test_cross_order_superposition_matches_expm(self, monkeypatch, cond_max):
+        # |g,0>, |x,0> and |g,2> carry N = 0, 1, 2, so rho0 spans k = -2..2
+        monkeypatch.setattr(dynamics, "_COND_MAX", cond_max)
+        p = replace(PAPER, n_max=3)
+        model = dynamics.build_model(p, RES)
+        sp = model.space
+        psi = (sp.ket(hilbert.GROUND, 0) + sp.ket(hilbert.EXCITON, 0)
+               + sp.ket(hilbert.GROUND, 2)) / math.sqrt(3.0)
+        rho0 = np.outer(psi, psi.conj())
+        assert set(model.orders[rho0.reshape(-1) != 0]) == {-2, -1, 0, 1, 2}
+        t = np.linspace(0.0, 0.5, 11)
+        rhos = evolve(rho0, p, t, model=model)
+        exact = [scipy.linalg.expm(model.generator * tt) @ rho0.reshape(-1) for tt in t]
+        assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
+        assert all((model.block(k).vinv is None) == (cond_max == 0.0) for k in range(-2, 3))
+
     @given(g=st.floats(0.0, 40.0), gx=st.floats(0.1, 40.0), gm=st.floats(0.1, 40.0),
            b_share=st.floats(0.0, 1.0), pump=st.floats(0.0, 2.0),
            dw=st.floats(-2000.0, 2000.0), n_max=st.sampled_from([1, 2, 3]))
@@ -173,6 +219,14 @@ class TestSteadyState:
         rho = steady_state(PAPER, model=model)
         resid = np.linalg.norm(model.generator @ rho.reshape(-1))
         assert resid < 1e-10
+
+    def test_solved_once_and_returned_as_copy(self):
+        model = dynamics.build_model(PAPER, RES)
+        first = steady_state(PAPER, model=model)
+        first[:] = 0.0
+        assert steady_state(PAPER, model=model) == pytest.approx(model.steady, abs=0)
+        assert np.trace(model.steady).real == pytest.approx(1.0, rel=1e-12)
+        assert model.steady is model.steady
 
 
 class TestEmissionSpectrum:
@@ -222,6 +276,44 @@ class TestEmissionSpectrum:
         grid = np.arange(PAPER.omega_m_GHz - 100, PAPER.omega_m_GHz + 100, 9.0)
         with pytest.raises(ValueError, match="too coarse"):
             emission_spectrum(PAPER, RES, grid)
+
+    @pytest.mark.parametrize("p,source", [
+        (SystemParams(), "cavity"),
+        (SystemParams(g_GHz=0.0, gamma_b_GHz=8.5, pump_GHz=0.5, n_max=1), "exciton"),
+    ])
+    def test_forced_fallback_on_field_block(self, monkeypatch, p, source):
+        # the spectrum lives in the k = -1 block; decompose it before the
+        # patch so that the two models take different paths there
+        grid = np.linspace(p.omega_m_GHz - 150, p.omega_m_GHz + 150, 401)
+        eig_model = dynamics.build_model(p, RES)
+        eig_spec = emission_spectrum(p, RES, grid, source=source, model=eig_model)
+        assert eig_model.block(-1).vinv is not None
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.0)
+        fb_model = dynamics.build_model(p, RES)
+        fb_spec = emission_spectrum(p, RES, grid, source=source, model=fb_model)
+        assert fb_model.block(-1).vinv is None
+        assert np.max(np.abs(fb_spec.intensity - eig_spec.intensity)) < 1e-9
+
+    @given(gx=st.floats(1.0, 40.0), gm=st.floats(1.0, 40.0),
+           coupling=st.floats(2.0, 4.0), skew=st.floats(-1.0, 1.0))
+    def test_resolvent_peaks_match_polaritons(self, gx, gm, coupling, skew):
+        # n_max = 1 and a vanishing pump leave the linear two-mode problem;
+        # its peaks sit at the polariton frequencies up to an interference
+        # shift of order hwhm**2 / splitting.  With g at least the summed
+        # linewidth (coupling >= 2) and |dw| <= g, a random sweep of 300
+        # points measured at most 0.15 of the narrower linewidth.
+        g = coupling * (gx + gm) / 2
+        p = SystemParams(g_GHz=g, gamma_x_GHz=gx, gamma_m_GHz=gm,
+                         pump_GHz=1e-6, n_max=1)
+        det = Detuning.from_GHz(skew * g, 942.5)
+        m = eigenmodes(p, det)
+        narrow = 2 * min(m.hwhm_plus_GHz, m.hwhm_minus_GHz)
+        grid = np.arange(m.omega_minus_GHz - 3 * narrow, m.omega_plus_GHz + 3 * narrow,
+                         narrow / 20)
+        got = _local_maxima(emission_spectrum(p, det, grid, source="cavity").intensity, grid)
+        want = _local_maxima(spectral_function(grid, p, det).intensity, grid)
+        assert len(got) == len(want) == 2
+        assert np.max(np.abs(got - want)) < 0.25 * narrow
 
     @pytest.mark.parametrize("cond_max", [dynamics._COND_MAX, 0.0])
     def test_undamped_part_rejected(self, monkeypatch, cond_max):
@@ -330,3 +422,20 @@ def test_truncation_convergence():
         rho = steady_state(p, model=model)
         pops.append(expectation(model.space.number, rho))
     assert abs(pops[1] - pops[0]) <= 1e-3 * abs(pops[0])
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("dw", [0.0, 30.0, -80.0, 120.0])
+@pytest.mark.parametrize("pump", [0.005, 0.01, 0.02, 0.05])
+def test_dark_cavity_rejected(pump, dw, n_max):
+    # g = 0: nothing reaches the cavity, whose steady-state population is
+    # rounding noise of either sign; it must never be normalized
+    p = SystemParams(g_GHz=0.0, gamma_x_GHz=0.2, gamma_m_GHz=24.1,
+                     gamma_b_GHz=0.2, pump_GHz=pump, n_max=n_max)
+    det = Detuning.from_GHz(dw, 942.5)
+    model = dynamics.build_model(p, det)
+    with pytest.raises(NumericalError, match="zero emission"):
+        g2_auto(p, det, np.linspace(0, 1, 5), source="cavity", model=model)
+    grid = np.linspace(p.omega_m_GHz - 150, p.omega_m_GHz + 150, 4001)
+    with pytest.raises(NumericalError, match="no emission"):
+        emission_spectrum(p, det, grid, source="cavity", model=model)

@@ -7,7 +7,7 @@ Layers, from cheap to expensive:
 * :mod:`cavqed.polariton`   -- closed-form coupled-mode theory
 * :mod:`cavqed.hilbert`     -- truncated state space, Hamiltonian, collapse channels
 * :mod:`cavqed.dynamics`    -- master equation, steady state, spectra, g2 by regression
-* :mod:`cavqed.trajectories`-- Monte Carlo wave-function photon click streams
+* :mod:`cavqed.trajectories`-- photon click streams from conditional-state trajectories
 * :mod:`cavqed.hbt`         -- beam-splitter / start-stop correlation analysis
 * :mod:`cavqed.specdiff`    -- quasi-static spectral-diffusion triplet model
 * :mod:`cavqed.instrument`  -- spectrometer and detector response emulation

@@ -118,6 +118,12 @@ class _Block(NamedTuple):
     vinv: np.ndarray | None
     cond: float
 
+    def propagate(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """e^{gen t} x for every t, shape (len(t), len(x))."""
+        if self.vinv is None:
+            return np.array([scipy.linalg.expm(self.gen * ti) @ x for ti in t])
+        return (np.exp(np.outer(t, self.evals)) * (self.vinv @ x)) @ self.vecs.T
+
 
 @dataclass(frozen=True)
 class _Model:
@@ -198,11 +204,7 @@ def _propagate(model: _Model, vec0: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros((t.size, vec0.size), dtype=complex)
     for k in np.unique(model.orders[vec0 != 0]):
         b = model.block(k)
-        x = vec0[b.idx]
-        if b.vinv is None:
-            out[:, b.idx] = [scipy.linalg.expm(b.gen * ti) @ x for ti in t]
-        else:
-            out[:, b.idx] = (np.exp(np.outer(t, b.evals)) * (b.vinv @ x)) @ b.vecs.T
+        out[:, b.idx] = b.propagate(vec0[b.idx], t)
     return out
 
 
@@ -375,14 +377,10 @@ def _propagate_probe(model: _Model, x0: np.ndarray, probe: np.ndarray,
 
 def g2_auto(p: SystemParams, detuning: Detuning | None = None,
             tau_grid_ns: np.ndarray | None = None, source: str = "cavity",
-            normalization: str = "stationary", rho0: np.ndarray | None = None,
             model: _Model | None = None) -> CorrelationTrace:
-    """Normalized intensity autocorrelation of one output port.
+    """Steady-state intensity autocorrelation of one output port.
 
-    ``normalization="stationary"`` divides by the squared steady-state
-    intensity (the usual CW definition); ``"time-local"`` divides by
-    <n(0)><n(tau)> instead, which is the right reference when correlating
-    from a supplied non-stationary ``rho0``.
+    Normalized by the squared steady-state intensity (the CW definition).
     """
     if model is None:
         model = build_model(p, detuning)
@@ -391,25 +389,14 @@ def g2_auto(p: SystemParams, detuning: Detuning | None = None,
         raise ValueError("tau grid must be increasing and non-negative")
     (label, op, _weight), = _sources(model, source)
     n_op = op.conj().T @ op
-    rho = model.steady if rho0 is None else np.asarray(rho0, complex)
+    rho = model.steady
     n_mean = expectation(n_op, rho)
     if n_mean <= _DARK:
         raise NumericalError(f"zero emission from source {label!r}: cannot normalize g2")
     x0 = op @ rho @ op.conj().T
     raw = _propagate_probe(model, x0, n_op, tau)
-    if normalization == "stationary":
-        denom = np.full(tau.size, n_mean**2)
-    elif normalization == "time-local":
-        rhos = evolve(rho, p, tau, validate=False, model=model)
-        n_t = np.array([expectation(n_op, r) for r in rhos])
-        if np.any(n_t <= _DARK):
-            raise NumericalError("time-local intensity vanished along the trace")
-        denom = n_mean * n_t
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return CorrelationTrace(tau, raw / denom, normalization=float(n_mean**2),
-                            meta={"kind": "auto", "source": label,
-                                  "normalization": normalization})
+    return CorrelationTrace(tau, raw / n_mean**2, normalization=float(n_mean**2),
+                            meta={"kind": "auto", "source": label})
 
 
 def g2_cross(p: SystemParams, detuning: Detuning | None = None,

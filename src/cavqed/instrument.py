@@ -28,15 +28,12 @@ class InstrumentConfig:
     spectral_resolution_pm: float = 21.0
     apd_irf_ps: float = 70.0       # Gaussian FWHM; the low-jitter APD choice
     efficiency: float = 1.0        # per-click survival probability
-    rep_rate_MHz: float = 40.0
 
     def __post_init__(self):
         if self.spectral_resolution_pm < 0 or self.apd_irf_ps < 0:
             raise ValueError("resolutions must be non-negative")
         if not 0 < self.efficiency <= 1:
             raise ValueError("efficiency must be in (0, 1]")
-        if self.rep_rate_MHz <= 0:
-            raise ValueError("repetition rate must be positive")
 
 
 def convolve_spectrum(s: Spectrum, cfg: InstrumentConfig) -> Spectrum:

@@ -40,13 +40,10 @@ class TelegraphConfig:
 
     resonant_fraction: float = 0.55
     detuned_offset_GHz: float | None = None
-    regime: str = "quasi-static"
 
     def __post_init__(self):
         if not 0.0 <= self.resonant_fraction <= 1.0:
             raise ValueError("resonant_fraction must lie in [0, 1]")
-        if self.regime != "quasi-static":
-            raise ValueError("only the quasi-static regime is implemented")
 
 
 def _shifted_detuning(p: SystemParams, detuning: Detuning,
@@ -143,8 +140,7 @@ def fraction_for_central_area(target_fraction: float, p: SystemParams,
         raise ValueError("target fraction must lie strictly between 0 and 1")
     cfg = cfg or TelegraphConfig()
     ref = TelegraphConfig(resonant_fraction=0.5,
-                          detuned_offset_GHz=cfg.detuned_offset_GHz,
-                          regime=cfg.regime)
+                          detuned_offset_GHz=cfg.detuned_offset_GHz)
     s = averaged_spectrum(p, detuning, ref, grid_GHz, mode=mode)
     fit = fit_triplet(s)
     central_share = fit.derived["sorted_area_fraction_2"]

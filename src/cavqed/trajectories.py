@@ -1,13 +1,20 @@
-"""Monte Carlo wave-function unraveling producing photon click records.
+"""Quantum-trajectory unravelling of the detected photon channels.
 
-Between jumps the state evolves under the non-Hermitian drift
-H_eff = H - (i/2) sum_k J_k†J_k, applied exactly through the eigen
-decomposition of H_eff (or ``scipy.linalg.expm`` where its eigenvectors are
-too ill-conditioned, as near an exceptional point), so the only time
-discretization anywhere is the 1e-4 ns tolerance of the jump-time root find
-on the decaying norm.  Each jump is attributed to a collapse channel;
-cavity_loss jumps are "mode photons" and exciton_radiative jumps "exciton
-photons".
+The conditional state is a density matrix ρ kept as its coherence-order
+k = 0 block (see :mod:`cavqed.dynamics`), which every click and every
+capture preserves.  Only the two detected channels are unravelled:
+cavity_loss clicks are "mode photons" and exciton_radiative clicks "exciton
+photons".  Between clicks ρ follows L₀ = L − Σ J⊗J*, the master-equation
+generator less the jump terms of those two channels, so every undetected
+channel (dephasing, pumping, transfer) is averaged over.  This leaves the
+distribution of detected click records unchanged (Wiseman & Milburn,
+*Quantum Measurement and Control*, 2010, ch. 4).
+
+P(s) = Tr e^{L₀s}ρ is the probability of no click within s.  A click
+happens when P falls to a uniform draw u, at a time solved to 1e-12
+relative; the channel is drawn with weights Tr(JρJ†) and ρ → JρJ†/Tr.
+e^{L₀s} comes from the model's decomposition of the k = 0 block of L₀ (or
+its expm fallback near an exceptional point), so nothing is time-stepped.
 
 Randomness comes from counter-based Philox streams keyed by
 (master seed, trajectory index), so runs are bit-reproducible and
@@ -17,11 +24,9 @@ trajectories are independent regardless of scheduling order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import brentq
 
 from . import dynamics, hilbert
 from .dynamics import NumericalError
@@ -31,7 +36,6 @@ from .units import Detuning
 
 __all__ = [
     "PulseConfig",
-    "ClickRecord",
     "ClickStream",
     "run_cw",
     "run_pulsed",
@@ -39,8 +43,8 @@ __all__ = [
     "lifetime_from_clicks",
 ]
 
-_NORM_FLOOR = 1e-28
-_JUMP_TIME_TOL_NS = 1e-4
+DETECTED = ("cavity_loss", "exciton_radiative")
+_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,10 +52,13 @@ class PulseConfig:
     """Pulsed-excitation model: Poisson captures with exponential delay.
 
     Each pulse launches k ~ Poisson(mean_captures_per_pulse) carrier
-    captures, each raising the emitter to the target level after an
-    independent exponential delay of mean ``capture_delay_ns``.  A capture
-    finding the emitter already excited is Pauli-blocked and lost.  With
-    ``allow_recapture`` off only the first capture of each pulse acts.
+    captures, each after an independent exponential delay of mean
+    ``capture_delay_ns``.  A capture is the trace-preserving map
+    ρ → σ†ρσ + (1−P)ρ(1−P), where σ† raises the ground state to the target
+    level and P = σσ† projects on the ground state: it raises an emitter in
+    its ground state, and one already excited Pauli-blocks it, so the
+    carrier is lost.  With ``allow_recapture`` off only the first capture
+    of each pulse acts.
     """
 
     rep_rate_MHz: float = 40.0
@@ -78,14 +85,6 @@ class PulseConfig:
     @property
     def duration_ns(self) -> float:
         return self.n_pulses * self.rep_period_ns
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    """One detection event: the collapse channel that fired and when."""
-
-    channel: str
-    time_ns: float
 
 
 @dataclass
@@ -119,155 +118,130 @@ class ClickStream:
         return {lab: int(np.sum(self.channel_codes == i))
                 for i, lab in enumerate(self.labels)}
 
-    def records(self):
-        for t, c in zip(self.times_ns, self.channel_codes):
-            yield ClickRecord(self.labels[c], float(t))
 
+class _Engine:
+    """Conditional-state unravelling of the detected channels of one model."""
 
-class _Unraveling:
-    """Shared machinery for the jump unraveling of one parameter point."""
+    def __init__(self, model: dynamics._Model):
+        ops = {c.label: c.jump_operator for c in model.channels}
+        jumps = [ops[label] for label in DETECTED]
+        self.model = replace(model, generator=model.generator
+                             - sum(np.kron(j, j.conj()) for j in jumps))
+        self.block = self.model.block(0)
+        # Block entry n is ρ[i[n], j[n]].
+        self._i, self._j = np.divmod(self.block.idx, model.space.dim)
+        self.trace = (self._i == self._j).astype(float)
+        self.jumps = [self.sandwich(j) for j in jumps]
+        # Row k gives Tr(J_k ρ J_k†); their sum is the click rate −P′.
+        self.emission = np.array([self.trace @ j for j in self.jumps])
+        self._probe = np.vstack([self.trace, -self.emission.sum(axis=0)])
+        if self.block.vinv is not None:
+            self._modal = self._probe @ self.block.vecs
+            self._slowest = float(np.max(self.block.evals.real))
+            self._shifted = self.block.evals - self._slowest
+        ground = model.space.index(hilbert.GROUND, 0)
+        self.ground = ((self._i == ground) & (self._j == ground)).astype(complex)
 
-    def __init__(self, p: SystemParams, detuning: Detuning | None,
-                 include_pump: bool):
-        if not include_pump:
-            from dataclasses import replace
-            p = replace(p, pump_GHz=0.0, feeder_pump_GHz=0.0)
-        self.params = p
-        self.detuning = detuning if detuning is not None else p.detuning()
-        self.space = hilbert.build_space(p)
-        h = hilbert.hamiltonian(p, self.detuning, self.space)
-        channels = [c for c in hilbert.collapse_channels(p, self.space)
-                    if c.rate_GHz > 0]
-        self.labels = tuple(c.label for c in channels)
-        self.jumps = [c.jump_operator for c in channels]
-        h_eff = h.astype(complex)
-        for j in self.jumps:
-            h_eff = h_eff - 0.5j * (j.conj().T @ j)
-        evals, vecs = np.linalg.eig(h_eff)
-        self.h_eff = h_eff
-        self.evals = evals
-        self.vecs = vecs
-        # Above dynamics._COND_MAX the eigen path is inaccurate: coefficients
-        # are then the state itself, propagated with expm (vinv is None).
-        if np.linalg.cond(vecs) <= dynamics._COND_MAX:
-            self.vinv = np.linalg.inv(vecs)
-            self.gram = vecs.conj().T @ vecs
-        else:
-            self.vinv = self.gram = None
-        self.ground = self.space.ket(hilbert.GROUND, 0)
-        # H_eff annihilates the absolute ground state only when nothing pumps it.
-        hg = h_eff @ self.ground
-        self.ground_is_dark = bool(np.max(np.abs(hg)) < 1e-12)
-        # Initial probe for the jump bracketing walk: a fraction of the fastest
-        # norm decay present in the spectrum of H_eff.
-        fastest = float(np.max(-self.evals.imag)) if np.any(self.evals.imag < 0) else 0.0
-        self.probe_step = 0.25 / fastest if fastest > 0 else 1.0
+    def sandwich(self, op: np.ndarray) -> np.ndarray:
+        """ρ → op ρ op† on the k = 0 block, for an op that shifts N by a fixed amount."""
+        return op[np.ix_(self._i, self._i)] * op.conj()[np.ix_(self._j, self._j)]
 
-    def coefficients(self, psi: np.ndarray) -> np.ndarray:
-        return psi if self.vinv is None else self.vinv @ psi
+    def no_click(self, x: np.ndarray):
+        """Functions of s: (log P, P′/P) and the state e^{L₀s}x, for Tr x = 1.
 
-    def state_at(self, coeff: np.ndarray, dt: float) -> np.ndarray:
-        if self.vinv is None:
-            return scipy.linalg.expm(-1j * self.h_eff * dt) @ coeff
-        return self.vecs @ (coeff * np.exp(-1j * self.evals * dt))
-
-    def norm2_at(self, coeff: np.ndarray, dt: float) -> float:
-        if self.vinv is None:
-            psi = self.state_at(coeff, dt)
-            return float(np.vdot(psi, psi).real)
-        w = coeff * np.exp(-1j * self.evals * dt)
-        return float(np.real(np.vdot(w, self.gram @ w)))
-
-    def choose_jump(self, rng, psi_unnorm: np.ndarray):
-        weights = np.array([np.vdot(j @ psi_unnorm, j @ psi_unnorm).real
-                            for j in self.jumps])
-        total = weights.sum()
-        if total <= 0:
-            raise NumericalError("no jump channel has weight; state diagnostics: "
-                                 f"norm2={np.vdot(psi_unnorm, psi_unnorm).real:.3e}")
-        k = rng.choice(len(self.jumps), p=weights / total)
-        psi = self.jumps[k] @ psi_unnorm
-        nrm = math.sqrt(np.vdot(psi, psi).real)
-        return int(k), psi / nrm
-
-    def _bracket_jump(self, coeff, seg: float, threshold: float, step0: float):
-        """Walk forward until the monotone no-jump norm crosses the threshold.
-
-        Returns (crossed, lo, hi, n2_at_end_or_hi).  Stepping adaptively keeps
-        every norm evaluation representable even when the full segment would
-        underflow the no-jump probability.
+        log P is taken relative to the slowest mode of L₀, so that it stays
+        finite long after P itself would underflow.
         """
-        lo, n2_lo = 0.0, 1.0
-        step = min(step0, seg) if seg > 0 else seg
-        while lo < seg:
-            hi = min(lo + step, seg)
-            n2_hi = self.norm2_at(coeff, hi)
-            if n2_hi <= 0.0:
-                step *= 0.25
-                if step < 1e-9 * max(seg, 1.0):
-                    raise NumericalError(
-                        f"zero-norm state while bracketing a jump at dt={hi:.3e} ns"
-                    )
-                continue
-            if n2_hi < threshold:
-                return True, lo, hi, n2_hi
-            if n2_hi > 0.5 * n2_lo:
-                step *= 2.0
-            lo, n2_lo = hi, n2_hi
-        return False, lo, seg, n2_lo
+        b = self.block
+        if b.vinv is None:
+            def state(s):
+                return b.propagate(x, (s,))[0]
 
-    def evolve_and_click(self, rng, psi, t_from, t_to, threshold, out_times,
-                         out_codes, sample_times=None, sample_out=None,
-                         sample_op=None):
-        """Advance psi from t_from to t_to, recording jumps (and optionally
-        normalized expectation samples of sample_op at absolute times).
+            def prob(s):
+                p, dp = (self._probe @ state(s)).real
+                return (math.log(p), dp / p) if p > 0 else (-math.inf, 0.0)
+            return prob, state
+        c = b.vinv @ x
+        modal = self._modal * c
+        slowest, shifted = self._slowest, self._shifted
 
-        Returns (psi_normalized, remaining_threshold) at t_to.
+        def state(s):
+            return b.vecs @ (c * np.exp(b.evals * s))
+
+        def prob(s):
+            q, dq = (modal @ np.exp(shifted * s)).real
+            return (slowest * s + math.log(q), dq / q) if q > 0 else (-math.inf, 0.0)
+        return prob, state
+
+    def click_weights(self, x: np.ndarray) -> np.ndarray:
+        return (self.emission @ x).real
+
+    @staticmethod
+    def click_time(prob, log_u: float, seg: float, end: tuple) -> float:
+        """The s in [0, seg] with log P(s) = log u, given P(0) = 1 > u > P(seg).
+
+        Newton's method on f = log P − log u, exact for a single exponential.
+        It starts from s = 0 when a click can happen at once (P′(0) < 0),
+        otherwise from s = seg, where ``end`` holds prob(seg).  A step that
+        leaves the bracket, that f′ = 0 forbids, or that is not under half
+        the step before last is replaced by bisection, so the steps shrink
+        at least geometrically (rtsafe, Numerical Recipes §9.4).
         """
-        t = t_from
-        probe = self.probe_step
+        lo, hi = 0.0, seg
+        start = prob(0.0)
+        s, (f, df) = (0.0, start) if start[1] < 0 else (seg, end)
+        f -= log_u
+        step = before = math.inf
         while True:
-            if self.ground_is_dark and abs(np.vdot(self.ground, psi)) ** 2 > 1.0 - 1e-14:
-                # Nothing can happen until an external event: skip ahead.
-                if sample_times is not None:
-                    sel = (sample_times >= t) & (sample_times <= t_to)
-                    sample_out[sel] = float(np.real(np.vdot(self.ground,
-                                                            sample_op @ self.ground)))
-                return psi, threshold
-            coeff = self.coefficients(psi)
-            seg = t_to - t
-            crossed, lo, hi, n2_hi = self._bracket_jump(coeff, seg, threshold, probe)
-            limit = t_to if not crossed else None
-            if crossed:
-                t_jump_rel = brentq(lambda dt: self.norm2_at(coeff, dt) - threshold,
-                                    lo, hi, xtol=_JUMP_TIME_TOL_NS)
-                probe = max(0.5 * t_jump_rel, self.probe_step)
-                limit = t + t_jump_rel
-            if sample_times is not None:
-                sel = (sample_times >= t) & (sample_times <= limit)
-                for idx in np.nonzero(sel)[0]:
-                    dt_s = sample_times[idx] - t
-                    n2_s = self.norm2_at(coeff, dt_s)
-                    if n2_s > 0.0:
-                        w = self.state_at(coeff, dt_s)
-                        sample_out[idx] = (np.vdot(w, sample_op @ w).real
-                                           / np.vdot(w, w).real)
-            if not crossed:
-                psi_end = self.state_at(coeff, seg)
-                nrm2 = np.vdot(psi_end, psi_end).real
-                if nrm2 < _NORM_FLOOR:
-                    raise NumericalError(
-                        f"zero-norm state at t={t_to} ns (norm2={nrm2:.3e})"
-                    )
-                # Renormalizing mid-flight rescales the remaining threshold so
-                # the no-jump waiting statistics stay exact across segments.
-                return psi_end / math.sqrt(nrm2), threshold / nrm2
-            psi_pre = self.state_at(coeff, t_jump_rel)
-            code, psi = self.choose_jump(rng, psi_pre)
-            t = limit
-            out_times.append(t)
-            out_codes.append(code)
-            threshold = rng.random()
+            # Newton lands in [lo, hi] iff these two differences differ in sign.
+            newton = (df < 0 and abs(2.0 * f) <= abs(before * df)
+                      and ((s - hi) * df - f) * ((s - lo) * df - f) <= 0)
+            before = step
+            if newton:
+                step = f / df
+                s -= step
+            else:
+                step = 0.5 * (hi - lo)
+                s = lo + step
+            if abs(step) <= _REL_TOL * s:
+                return s
+            f, df = prob(s)
+            f -= log_u
+            if f > 0:
+                lo = s
+            else:
+                hi = s
+
+    def advance(self, rng, x: np.ndarray, u: float, t: float, t_end: float,
+                times: list, codes: list):
+        """Evolve x (unit trace) from t to t_end, recording each click.
+
+        ``u`` is the no-click probability at which the next click fires.
+        Returns x renormalized at t_end and u divided by the no-click
+        probability of the last stretch, which keeps the waiting-time
+        statistics exact across calls.
+        """
+        while True:
+            seg = t_end - t
+            prob, state = self.no_click(x)
+            end = prob(seg)
+            log_u = math.log(u)
+            if end[0] >= log_u:
+                p_end = math.exp(end[0])
+                return state(seg) / p_end, u / p_end
+            s = self.click_time(prob, log_u, seg, end)
+            x = state(s)
+            weights = self.click_weights(x)
+            total = weights.sum()
+            if not total > 0:
+                raise NumericalError(f"no detected channel has weight at a click "
+                                     f"(t={t + s:.6g} ns, trace {(self.trace @ x).real:.3e})")
+            k = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
+            x = self.jumps[k] @ x / weights[k]
+            t += s
+            times.append(t)
+            codes.append(k)
+            u = rng.random()
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -279,7 +253,7 @@ def run_cw(p: SystemParams, detuning: Detuning | None = None,
            duration_ns: float = 1e5, seed: int = 0,
            n_trajectories: int = 1, discard_ns: float = 0.0,
            first_trajectory: int = 0) -> ClickStream:
-    """Continuous-wave jump unraveling; clicks merged over trajectories.
+    """Continuous-wave unravelling; clicks merged over trajectories.
 
     Requires an incoherent pump (exciton and/or feeder); trajectories start
     from the absolute ground state, so pass ``discard_ns`` to drop the short
@@ -291,15 +265,14 @@ def run_cw(p: SystemParams, detuning: Detuning | None = None,
         raise ValueError("run_cw needs a pump; use run_pulsed for pulsed excitation")
     if duration_ns <= 0:
         raise ValueError("duration must be positive")
-    machine = _Unraveling(p, detuning, include_pump=True)
+    engine = _Engine(dynamics.build_model(p, detuning))
     all_times, all_codes = [], []
     for i in range(n_trajectories):
         rng = _rng_for(seed, first_trajectory + i)
-        psi = machine.ground.copy()
         times: list[float] = []
         codes: list[int] = []
-        machine.evolve_and_click(rng, psi, 0.0, duration_ns, rng.random(),
-                                 times, codes)
+        engine.advance(rng, engine.ground, rng.random(), 0.0, duration_ns,
+                       times, codes)
         all_times.append(np.asarray(times))
         all_codes.append(np.asarray(codes, dtype=np.int16))
     times = np.concatenate(all_times) if all_times else np.empty(0)
@@ -307,28 +280,30 @@ def run_cw(p: SystemParams, detuning: Detuning | None = None,
     order = np.argsort(times, kind="stable")
     times, codes = times[order], codes[order]
     keep = times >= discard_ns
-    return ClickStream(times[keep], codes[keep], machine.labels, duration_ns,
+    return ClickStream(times[keep], codes[keep], DETECTED, duration_ns,
                        meta={"mode": "cw", "seed": seed,
                              "n_trajectories": n_trajectories,
-                             "detuning_nm": machine.detuning.dl_nm})
+                             "detuning_nm": engine.model.detuning.dl_nm})
 
 
 def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
                pulses: PulseConfig | None = None, seed: int = 0) -> ClickStream:
-    """Pulsed-excitation unraveling driven by the capture model.
+    """Pulsed-excitation unravelling driven by the capture model.
 
     The CW pump channels are disabled; excitation enters exclusively through
     the capture events drawn per pulse from :class:`PulseConfig`.
     """
     if pulses is None:
         pulses = PulseConfig()
-    machine = _Unraveling(p, detuning, include_pump=False)
     if pulses.capture_target == "feeder" and p.emitter_levels != 3:
         raise ValueError("feeder captures need emitter_levels == 3")
-    if pulses.capture_target == "exciton":
-        raise_op = machine.space.sigma.conj().T
-    else:
-        raise_op = machine.space.sigma_f.conj().T
+    engine = _Engine(dynamics.build_model(
+        replace(p, pump_GHz=0.0, feeder_pump_GHz=0.0), detuning))
+    space = engine.model.space
+    raise_op = (space.sigma if pulses.capture_target == "exciton"
+                else space.sigma_f).conj().T
+    blocked = np.eye(space.dim) - raise_op.conj().T @ raise_op
+    capture = engine.sandwich(raise_op) + engine.sandwich(blocked)
     rng = _rng_for(seed, 0)
     period = pulses.rep_period_ns
     total = pulses.duration_ns
@@ -346,64 +321,50 @@ def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
     events = events[events < total]
     times: list[float] = []
     codes: list[int] = []
-    psi = machine.ground.copy()
-    threshold = rng.random()
-    t = 0.0
-    ground_proj = raise_op.conj().T @ raise_op  # projector on the capturable level
+    x, u, t = engine.ground, rng.random(), 0.0
     for t_cap in events:
-        psi, threshold = machine.evolve_and_click(rng, psi, t, t_cap, threshold,
-                                                  times, codes)
-        # Incoherent capture: with the weight of the capturable (ground)
-        # component the emitter is raised; otherwise the capture is
-        # Pauli-blocked, the carrier is lost, and the state collapses onto
-        # the already-excited manifold.
-        raised = raise_op @ psi
-        p_ground = np.vdot(raised, raised).real
-        if rng.random() < p_ground:
-            psi = raised / math.sqrt(p_ground)
-        else:
-            blocked = psi - ground_proj @ psi
-            nrm2 = np.vdot(blocked, blocked).real
-            if nrm2 > 1e-24:
-                psi = blocked / math.sqrt(nrm2)
-        threshold = rng.random()
+        x, u = engine.advance(rng, x, u, t, t_cap, times, codes)
+        # Trace-preserving and unobserved, so u carries across it.
+        x = capture @ x
         t = t_cap
-    machine.evolve_and_click(rng, psi, t, total, threshold, times, codes)
+    engine.advance(rng, x, u, t, total, times, codes)
     return ClickStream(np.asarray(times), np.asarray(codes, dtype=np.int16),
-                       machine.labels, total,
+                       DETECTED, total,
                        meta={"mode": "pulsed", "seed": seed,
                              "rep_period_ns": period,
                              "mu": pulses.mean_captures_per_pulse,
-                             "detuning_nm": machine.detuning.dl_nm})
+                             "detuning_nm": engine.model.detuning.dl_nm})
 
 
 def ensemble_populations(p: SystemParams, detuning: Detuning | None,
                          operator: np.ndarray, t_grid_ns: np.ndarray,
-                         n_trajectories: int, seed: int,
-                         initial: np.ndarray | None = None):
+                         n_trajectories: int, seed: int):
     """Trajectory-ensemble expectation of ``operator`` on a time grid.
 
-    Returns (mean, standard error) arrays; the ensemble average converges to
-    the master-equation expectation, which is what the equivalence tests
-    assert.  Trajectories start from ``initial`` (default: absolute ground).
+    Each trajectory starts in the absolute ground state and samples
+    Tr(Oρ)/Tr ρ of its conditional state at every grid time.  Returns
+    (mean, standard error) arrays; the mean converges to the master-equation
+    expectation, which is what the equivalence tests assert.  The operator
+    must conserve the excitation number, as projectors and number operators
+    do, since the conditional state holds only the k = 0 block.
     """
-    machine = _Unraveling(p, detuning, include_pump=True)
+    engine = _Engine(dynamics.build_model(p, detuning))
+    op = np.asarray(operator)
+    if np.any(op.reshape(-1)[engine.model.orders != 0]):
+        raise ValueError("operator does not conserve the excitation number")
+    row = op.T.reshape(-1)[engine.block.idx]
     t_grid = np.asarray(t_grid_ns, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
+        raise ValueError("time grid must be non-empty, non-negative and non-decreasing")
     samples = np.empty((n_trajectories, t_grid.size))
     for i in range(n_trajectories):
         rng = _rng_for(seed, i)
-        psi = (machine.ground.copy() if initial is None
-               else np.asarray(initial, dtype=complex).copy())
-        out = np.empty(t_grid.size)
-        out[:] = np.nan
-        machine.evolve_and_click(rng, psi, 0.0, float(t_grid[-1]) + 1e-9,
-                                 rng.random(), [], [],
-                                 sample_times=t_grid, sample_out=out,
-                                 sample_op=operator)
-        samples[i] = out
-    mean = np.nanmean(samples, axis=0)
-    stderr = np.nanstd(samples, axis=0) / math.sqrt(n_trajectories)
-    return mean, stderr
+        x, u, t = engine.ground, rng.random(), 0.0
+        for j, t_next in enumerate(t_grid):
+            x, u = engine.advance(rng, x, u, t, t_next, [], [])
+            samples[i, j] = (row @ x).real
+            t = t_next
+    return samples.mean(axis=0), samples.std(axis=0) / math.sqrt(n_trajectories)
 
 
 def lifetime_from_clicks(clicks: ClickStream, channel: str,

@@ -137,12 +137,27 @@ def test_g2_regression_cross(tmp_path):
 
 def test_trajectory_zero_norm_exits_numeric(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CAVQED_THREADS", "1")
-    monkeypatch.setattr(trajectories._Unraveling, "norm2_at",
-                        lambda self, coeff, dt: 0.0)
+    monkeypatch.setattr(trajectories._Engine, "click_weights",
+                        lambda self, x: np.zeros(len(trajectories.DETECTED)))
     assert run(["g2", "--kind", "auto", "--method", "trajectories",
                 "--detuning-nm", "0", "--seed", "3", "--duration-ns", "100",
                 "--out-prefix", tmp_path / "z"]) == 3
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_lifetime_with_dark_exciton_channel(tmp_path):
+    assert run(["lifetime", "--dl-start", "4.0", "--dl-end", "4.1", "--steps", "2",
+                "--method", "trajectories", "--seed", "7",
+                "--set", "system.gamma_b_GHz=0", "--set", "pulses.n_pulses=300",
+                "--out", tmp_path / "t.csv"]) == 0
+
+
+def test_cross_g2_with_dark_exciton_channel(tmp_path, capsys):
+    assert run(["g2", "--kind", "cross", "--method", "trajectories",
+                "--detuning-nm", "0", "--seed", "3", "--duration-ns", "200",
+                "--set", "system.gamma_b_GHz=0",
+                "--out-prefix", tmp_path / "x"]) == 3
+    assert "no clicks on one detector" in capsys.readouterr().err
 
 
 def test_g2_trajectories_byte_identical(tmp_path):

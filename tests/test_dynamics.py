@@ -351,25 +351,6 @@ class TestEmissionSpectrum:
 
 
 class TestG2:
-    def test_coherent_state_stays_poissonian(self):
-        p = SystemParams(g_GHz=0.0, gamma_x_GHz=0.1, gamma_m_GHz=24.1,
-                         gamma_b_GHz=0.0, pump_GHz=0.0, n_max=6)
-        model = dynamics.build_model(p, RES)
-        alpha = 0.8
-        ns = np.arange(7)
-        amps = np.exp(-abs(alpha) ** 2 / 2) * alpha**ns / np.sqrt(
-            [math.factorial(int(n)) for n in ns])
-        psi = np.zeros(model.space.dim, dtype=complex)
-        for n, a in zip(ns, amps):
-            psi[model.space.index(hilbert.GROUND, int(n))] = a
-        rho0 = np.outer(psi, psi.conj())
-        rho0 /= np.trace(rho0).real
-        tau = np.linspace(0.0, 0.02, 9)
-        trace = g2_auto(p, RES, tau, rho0=rho0, normalization="time-local",
-                        model=model)
-        # truncation at n_max=6 leaves a ~1e-3 residue for alpha=0.8
-        assert trace.values == pytest.approx(np.ones_like(tau), abs=5e-3)
-
     def test_two_level_antibunching(self):
         p = SystemParams(g_GHz=0.0, gamma_x_GHz=0.2, gamma_m_GHz=24.1,
                          gamma_b_GHz=0.2, pump_GHz=0.02, n_max=1)

@@ -112,8 +112,6 @@ def test_far_state_enforced():
 def test_config_validation():
     with pytest.raises(ValueError):
         TelegraphConfig(resonant_fraction=1.2)
-    with pytest.raises(ValueError):
-        TelegraphConfig(regime="dynamic")
 
 
 def test_default_shift_is_minus_twenty_g():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from cavqed import dynamics, fitkit, hilbert, trajectories
 from cavqed.polariton import SystemParams, purcell_lifetime
@@ -44,6 +45,25 @@ def test_cw_click_rate_matches_steady_state():
     assert abs(n - expected) < 3.0 * math.sqrt(expected)
 
 
+@given(n_max=st.integers(1, 3), dl=st.floats(-4.1, 4.1),
+       pump=st.floats(0.005, 0.05))
+def test_click_counts_match_steady_state_flux(n_max, dl, pump):
+    det = Detuning.from_nm(dl, 942.5)
+    p = SystemParams(pump_GHz=pump, n_max=n_max).with_detuning(det)
+    model = dynamics.build_model(p, det)
+    rho = dynamics.steady_state(p, model=model)
+    # about 300 photons after a transient of at most a few exciton lifetimes
+    discard = 100.0
+    duration = discard + 300.0 / (TWO_PI * pump)
+    stream = run_cw(p, det, duration_ns=duration, seed=1, discard_ns=discard)
+    for c in model.channels:
+        if c.label in trajectories.DETECTED:
+            j = c.jump_operator
+            want = dynamics.expectation(j.conj().T @ j, rho) * (duration - discard)
+            got = stream.times(c.label).size
+            assert abs(got - want) < 5.0 * math.sqrt(max(want, 1.0)), c.label
+
+
 def test_no_pump_rejected():
     p = SystemParams(pump_GHz=0.0)
     with pytest.raises(ValueError):
@@ -67,19 +87,38 @@ def test_ensemble_matches_master_equation():
 
 
 def test_ill_conditioned_drift_matches_expm():
-    # g = |gamma_x - gamma_m|/4 with no dephasing: the polariton pair of
-    # H_eff coalesces and its eigenvector matrix is numerically singular
+    # g = |gamma_x - gamma_m|/4 with no dephasing: a polariton pair of the
+    # no-click generator coalesces and its eigenvector matrix is numerically
+    # singular, so the engine runs on the model's expm fallback
     p = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5,
                      gamma_m_GHz=24.1, gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3)
-    machine = trajectories._Unraveling(p, RES, include_pump=True)
-    assert np.linalg.cond(machine.vecs) > dynamics._COND_MAX
-    psi = machine.space.ket(hilbert.EXCITON, 0)
-    coeff = machine.coefficients(psi)
-    assert machine.norm2_at(coeff, 0.0) == pytest.approx(1.0, abs=1e-12)
+    engine = trajectories._Engine(dynamics.build_model(p, RES))
+    block = engine.model.block(0)
+    assert block.cond > dynamics._COND_MAX
+    x = engine.sandwich(engine.model.space.sigma.conj().T) @ engine.ground
+    prob, state = engine.no_click(x)
+    assert math.exp(prob(0.0)[0]) == pytest.approx(1.0, abs=1e-12)
     for dt in (0.01, 0.1):
-        exact = scipy.linalg.expm(-1j * machine.h_eff * dt) @ psi
-        assert abs(machine.norm2_at(coeff, dt) - np.vdot(exact, exact).real) < 1e-9
-        assert np.max(np.abs(machine.state_at(coeff, dt) - exact)) < 1e-9
+        exact = scipy.linalg.expm(block.gen * dt) @ x
+        assert abs(math.exp(prob(dt)[0]) - (engine.trace @ exact).real) < 1e-9
+        assert np.max(np.abs(state(dt) - exact)) < 1e-9
+
+
+def test_ensemble_rejects_operator_changing_excitation_number():
+    sp = dynamics.build_model(TWO_LEVEL, RES).space
+    with pytest.raises(ValueError, match="excitation number"):
+        trajectories.ensemble_populations(TWO_LEVEL, RES, sp.a + sp.ad,
+                                          np.linspace(0.0, 1.0, 3), 2, seed=1)
+
+
+def test_dark_detected_channel_keeps_its_label():
+    p = SystemParams(g_GHz=0.0, gamma_x_GHz=0.15, gamma_m_GHz=24.1,
+                     gamma_b_GHz=0.0, pump_GHz=0.01, n_max=1)
+    cw = run_cw(p, RES, duration_ns=500.0, seed=2)
+    pulsed = run_pulsed(p, RES, PulseConfig(n_pulses=20), seed=2)
+    for s in (cw, pulsed):
+        assert s.labels == trajectories.DETECTED
+        assert s.times("exciton_radiative").size == 0
 
 
 class TestPulsed:
@@ -191,8 +230,6 @@ def test_click_stream_accessors():
                                  ("cavity_loss", "exciton_radiative"), 10.0)
     assert list(s.times("cavity_loss")) == [0.5, 2.0]
     assert s.counts() == {"cavity_loss": 2, "exciton_radiative": 1}
-    recs = list(s.records())
-    assert recs[1].channel == "exciton_radiative"
     with pytest.raises(KeyError):
         s.times("nope")
 

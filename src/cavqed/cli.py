@@ -248,7 +248,12 @@ def _lifetime_point(cfg: RunConfig, dl: float, method: str, seed) -> float:
     hist = trajectories.lifetime_from_clicks(merged, "pl",
                                              pulses.rep_period_ns, bin_ns=bin_ns)
     fit = fitkit.fit_decay(hist, "mono")
-    return fit.params["tau_ns"]
+    tau = fit.params["tau_ns"]
+    if not (fit.converged and tau > bin_ns):
+        raise dynamics.NumericalError(
+            f"lifetime fit at detuning {dl} nm gave tau = {tau:.3g} ns ({fit.message}); "
+            f"need a converged value above the bin width {bin_ns:.3g} ns")
+    return tau
 
 
 def cmd_lifetime(args) -> int:
@@ -358,7 +363,10 @@ def cmd_g2(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _fit_from_csv(args, cfg: RunConfig) -> fitkit.FitResult:
-    meta, cols = read_csv(args.data)
+    try:
+        meta, cols = read_csv(args.data)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read --data: {exc}") from exc
     if args.model == "lorentz":
         if "wavelength_nm" in cols:
             spec = Spectrum(cols["wavelength_nm"], cols["intensity"], "wavelength_nm")

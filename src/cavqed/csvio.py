@@ -41,6 +41,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(a: np.ndarray) -> list[str]:
+    """The cells :func:`_format_cell` gives, formatted a column at a time."""
+    if a.dtype.kind == "f":
+        return [format(v, f".{_FLOAT_DIGITS}g") for v in a.astype(float).tolist()]
+    if a.dtype.kind in "iuU":
+        return list(map(str, a.tolist()))
+    return [_format_cell(v) for v in a]
+
+
 def write_csv(path, columns: dict, meta: dict) -> None:
     """Write named columns with metadata; atomic replace on completion."""
     path = Path(path)
@@ -51,8 +60,7 @@ def write_csv(path, columns: dict, meta: dict) -> None:
         raise ValueError("all columns must be 1-D and equally long")
     lines = [f"# {k}={_format_cell(v)}" for k, v in meta.items()]
     lines.append(",".join(names))
-    for i in range(length):
-        lines.append(",".join(_format_cell(a[i]) for a in arrays))
+    lines.extend(map(",".join, zip(*(_format_column(a) for a in arrays))))
     payload = "\n".join(lines) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -64,13 +72,14 @@ def read_csv(path):
     """Parse a file written by :func:`write_csv`.
 
     Returns (meta, columns) where columns maps each header name to a numpy
-    array (float when possible, strings otherwise).
+    array (float when possible, strings otherwise).  A row whose cell count
+    differs from the header's raises ``ValueError`` naming file and line.
     """
     meta: dict = {}
     header: list[str] | None = None
     rows: list[list[str]] = []
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -83,7 +92,11 @@ def read_csv(path):
             if header is None:
                 header = [c.strip() for c in line.split(",")]
                 continue
-            rows.append([c.strip() for c in line.split(",")])
+            row = [c.strip() for c in line.split(",")]
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{number}: {len(row)} cells, "
+                                 f"header has {len(header)}")
+            rows.append(row)
     if header is None:
         raise ValueError(f"{path}: no header row found")
     columns = {}

@@ -20,16 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, voigt_profile
+from scipy.special import erfc, voigt_profile, wofz
 
 from . import polariton
 from .hbt import Histogram
 from .polariton import Spectrum, SystemParams
-from .units import (
-    Detuning,
-    detuning_to_frequency,
-    wavelength_to_frequency,
-)
+from .units import SPEED_OF_LIGHT_NM_GHZ, detuning_to_frequency
 
 __all__ = [
     "FitResult",
@@ -222,6 +218,39 @@ def _line_profile(x, center, fwhm, area, sigma_g):
     return area * voigt_profile(x - center, sigma_g, gamma)
 
 
+def _peaks_jacobian(x, p, n_peaks, sigma_g):
+    """Analytic Jacobian of a constant plus ``n_peaks`` :func:`_line_profile` terms.
+
+    The Voigt profile is Re w(z) / (sigma sqrt(2 pi)) with
+    z = (x - center + i gamma) / (sigma sqrt 2), and the Faddeeva function
+    has w'(z) = -2 z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20).
+    """
+    jac = np.empty((x.size, p.size))
+    jac[:, 0] = 1.0
+    for k in range(n_peaks):
+        c, w, a = p[1 + 3 * k: 4 + 3 * k]
+        h = max(abs(w), 1e-12) / 2.0
+        u = x - c
+        sign = np.sign(w if w != 0 else 1.0)
+        if sigma_g == 0.0:
+            denom = u * u + h * h
+            base = (a / math.pi) * h / denom
+            jac[:, 1 + 3 * k] = (a / math.pi) * h * 2.0 * u / denom**2
+            jac[:, 2 + 3 * k] = 0.5 * (a / math.pi) * (u * u - h * h) / denom**2 * sign
+            jac[:, 3 + 3 * k] = base / a if a != 0 else (1.0 / math.pi) * h / denom
+            continue
+        scale = sigma_g * math.sqrt(2.0)
+        norm = 1.0 / (sigma_g * math.sqrt(2.0 * math.pi))
+        z = (u + 1j * h) / scale
+        wz = wofz(z)
+        # d/du of the profile is the real part of dv, d/dgamma minus its imaginary part
+        dv = (-2.0 * z * wz + 2j / math.sqrt(math.pi)) * (norm / scale)
+        jac[:, 1 + 3 * k] = -a * dv.real
+        jac[:, 2 + 3 * k] = -0.5 * a * dv.imag * sign
+        jac[:, 3 + 3 * k] = norm * wz.real
+    return jac
+
+
 def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
                     gaussian_fwhm: float = 0.0) -> FitResult:
     """Fit a sum of 1..3 Lorentzian peaks plus a constant background.
@@ -267,24 +296,8 @@ def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
     def residual(p):
         return model(p) - y
 
-    jacobian = None
-    if sigma_g == 0.0:
-
-        def jacobian(p):
-            jac = np.empty((x.size, p.size))
-            jac[:, 0] = 1.0
-            for k in range(n_peaks):
-                c, w, a = p[1 + 3 * k: 4 + 3 * k]
-                h = max(abs(w), 1e-12) / 2.0
-                u = x - c
-                denom = u * u + h * h
-                base = (a / math.pi) * h / denom
-                jac[:, 1 + 3 * k] = (a / math.pi) * h * 2.0 * u / denom**2
-                jac[:, 2 + 3 * k] = 0.5 * (a / math.pi) * (u * u - h * h) / denom**2 * np.sign(w if w != 0 else 1.0)
-                jac[:, 3 + 3 * k] = base / a if a != 0 else (1.0 / math.pi) * h / denom
-            return jac
-
-    sol, cov, info = levenberg_marquardt(residual, p0, jacobian=jacobian)
+    sol, cov, info = levenberg_marquardt(
+        residual, p0, jacobian=lambda p: _peaks_jacobian(x, p, n_peaks, sigma_g))
     names = ["background"]
     for k in range(1, n_peaks + 1):
         names += [f"center_{k}", f"fwhm_{k}", f"area_{k}"]
@@ -305,17 +318,10 @@ def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
 
 def _branch_wavelengths(dl_nm, g, lambda_x, gamma_x, gamma_m):
     """Model (short, long) polariton wavelengths at each wavelength detuning."""
-    out_blue = np.empty_like(dl_nm)
-    out_red = np.empty_like(dl_nm)
-    for i, dl in enumerate(dl_nm):
-        p = SystemParams(lambda_x_nm=lambda_x, lambda_m_nm=lambda_x - dl,
-                         g_GHz=abs(g), gamma_x_GHz=abs(gamma_x),
-                         gamma_m_GHz=abs(gamma_m),
-                         gamma_b_GHz=min(abs(gamma_x), 0.0))
-        modes = polariton.eigenmodes(p, Detuning.from_nm(dl, lambda_x))
-        out_blue[i] = wavelength_to_frequency(1.0) / modes.omega_plus_GHz
-        out_red[i] = wavelength_to_frequency(1.0) / modes.omega_minus_GHz
-    return out_blue, out_red
+    blue, red, _, _ = polariton._complex_eigenvalues(
+        lambda_x - dl_nm, detuning_to_frequency(dl_nm, lambda_x),
+        abs(g), abs(gamma_x), abs(gamma_m))
+    return SPEED_OF_LIGHT_NM_GHZ / blue.real, SPEED_OF_LIGHT_NM_GHZ / red.real
 
 
 def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,

@@ -13,13 +13,13 @@ independent oracle and vice versa.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .units import (
+    SPEED_OF_LIGHT_NM_GHZ,
     Detuning,
     detuning_to_frequency,
     frequency_to_detuning,
@@ -177,23 +177,30 @@ class LifetimeBudget:
     gamma_cavity_GHz: float
 
 
-def _complex_eigenvalues(p: SystemParams, detuning: Detuning):
-    """Eigenvalues of the two-by-two generator, ordered by real part.
+def _complex_eigenvalues(lambda_m_nm, dw_GHz, g_GHz, gamma_x_GHz, gamma_m_GHz):
+    """Eigenvalues of the two-by-two generator, ordered by real part, then -imag.
 
     Returned as complex ordinary frequencies omega - i*hwhm in GHz, with the
-    cavity placed at the configured lambda_m and the exciton at
-    omega_m - dw.  Principal square root with post-hoc ordering keeps the
-    branches continuous through the anti-crossing.
+    cavity at ``lambda_m_nm`` and the exciton at omega_m - dw; the arguments
+    broadcast.  Principal square root with post-hoc ordering keeps the
+    branches continuous through the anti-crossing.  The square under the root
+    is spelled out in reals, because numpy's complex multiply can round
+    differently from scalar complex arithmetic; this way a sweep and a
+    point-by-point evaluation agree bit for bit.
     """
-    omega_m = p.omega_m_GHz
-    omega_x = omega_m - detuning.dw_GHz
-    mean = 0.5 * (omega_x + omega_m) - 0.25j * (p.gamma_x_GHz + p.gamma_m_GHz)
-    half_diff = 0.5 * detuning.dw_GHz - 0.25j * (p.gamma_m_GHz - p.gamma_x_GHz)
-    root = cmath.sqrt(p.g_GHz**2 + half_diff * half_diff)
+    lambda_m_nm = np.asarray(lambda_m_nm, dtype=float)
+    if np.any(lambda_m_nm <= 0):
+        raise ValueError("cavity wavelength must be positive")
+    omega_m = SPEED_OF_LIGHT_NM_GHZ / lambda_m_nm
+    omega_x = omega_m - dw_GHz
+    mean = 0.5 * (omega_x + omega_m) - 0.25j * (gamma_x_GHz + gamma_m_GHz)
+    half_diff = 0.5 * dw_GHz - 0.25j * (gamma_m_GHz - gamma_x_GHz)
+    re, im = half_diff.real, half_diff.imag
+    root = np.sqrt(g_GHz**2 + (re * re - im * im) + 1j * (re * im + im * re))
     lam_a, lam_b = mean + root, mean - root
-    if (lam_a.real, -lam_a.imag) < (lam_b.real, -lam_b.imag):
-        lam_a, lam_b = lam_b, lam_a
-    return lam_a, lam_b, omega_x, omega_m
+    swap = (lam_a.real < lam_b.real) | ((lam_a.real == lam_b.real)
+                                        & (lam_a.imag > lam_b.imag))
+    return np.where(swap, lam_b, lam_a), np.where(swap, lam_a, lam_b), omega_x, omega_m
 
 
 def _photon_fraction(lam: complex, omega_x: float, omega_m: float,
@@ -217,7 +224,8 @@ def eigenmodes(p: SystemParams, detuning: Detuning | None = None) -> PolaritonPa
     """
     if detuning is None:
         detuning = p.detuning()
-    lam_p, lam_m, omega_x, omega_m = _complex_eigenvalues(p, detuning)
+    lam_p, lam_m, omega_x, omega_m = (v.item() for v in _complex_eigenvalues(
+        p.lambda_m_nm, detuning.dw_GHz, p.g_GHz, p.gamma_x_GHz, p.gamma_m_GHz))
     return PolaritonPair(
         omega_plus_GHz=lam_p.real,
         omega_minus_GHz=lam_m.real,

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from cavqed import trajectories
+from cavqed import csvio, fitkit, trajectories
 from cavqed.cli import main
 from cavqed.csvio import read_csv, write_csv
 
@@ -60,6 +60,45 @@ def test_float_formatting_nine_digits(tmp_path):
     for token in re.findall(r"[\d.]+e?[-+]?\d*", text.splitlines()[-1]):
         digits = re.sub(r"[^\d]", "", token).lstrip("0")
         assert len(digits) <= 9
+
+
+def test_columns_format_as_cells(tmp_path):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 5e-324, 1 / 3,
+                        123456789.123, 2.0**60])
+    columns = {
+        "f64": special,
+        "f32": special.astype(np.float32),
+        "int": np.array([0, -1, 2**62, 7, -(2**40), 3, 1, 2, 9]),
+        "uint8": np.arange(9, dtype=np.uint8),
+        "bool": np.arange(9) % 2 == 0,
+        "str": np.array(["cavity_loss", "pl", "x y", "", "nan", "1e5", "a", "b", "c"]),
+        "obj": np.array([1, 2.5, "s", True, np.float32(0.1), None, -0.0, np.int8(3),
+                         np.nan], dtype=object),
+    }
+    meta = {"k": 1.5, "flag": True, "n": np.int64(4), "s": "x"}
+    out = tmp_path / "cols.csv"
+    write_csv(out, columns, meta)
+    arrays = list(columns.values())
+    expected = ([f"# {k}={csvio._format_cell(v)}" for k, v in meta.items()]
+                + [",".join(columns)]
+                + [",".join(csvio._format_cell(a[i]) for a in arrays) for i in range(9)])
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_ragged_row_names_file_and_line(tmp_path):
+    data = tmp_path / "ragged.csv"
+    data.write_text("# k=1\ndl_nm,tau_ns\n0.3,1.0\n0.5\n")
+    with pytest.raises(ValueError, match=r"ragged\.csv:4"):
+        read_csv(data)
+
+
+def test_fit_unreadable_data_is_config_error(tmp_path, capsys):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("dl_nm,tau_ns\n0.3,1.0\n0.5\n0.7,2.0\n")
+    for data in (tmp_path / "missing.csv", ragged):
+        assert run(["fit", "--model", "lifetime", "--data", data,
+                    "--out", tmp_path / "fit.csv"]) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
 
 def test_anticross_fit_round_trip(tmp_path):
@@ -150,6 +189,23 @@ def test_lifetime_with_dark_exciton_channel(tmp_path):
                 "--method", "trajectories", "--seed", "7",
                 "--set", "system.gamma_b_GHz=0", "--set", "pulses.n_pulses=300",
                 "--out", tmp_path / "t.csv"]) == 0
+
+
+@pytest.mark.parametrize("tau_ns,converged", [(1.0, False), (7.36e-05, True),
+                                               (float("nan"), True)])
+def test_lifetime_rejects_unchecked_fit(tmp_path, monkeypatch, capsys,
+                                        tau_ns, converged):
+    def fake_fit(hist, model):
+        return fitkit.FitResult(params={"tau_ns": tau_ns}, stderr={},
+                                residual_norm=0.0, n_iterations=1,
+                                converged=converged, message="stub")
+
+    monkeypatch.setattr(fitkit, "fit_decay", fake_fit)
+    assert run(["lifetime", "--dl-start", "4.1", "--dl-end", "4.1", "--steps", "1",
+                "--method", "trajectories", "--seed", "7",
+                "--set", "pulses.n_pulses=300", "--out", tmp_path / "t.csv"]) == 3
+    assert "lifetime fit at detuning 4.1 nm" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_cross_g2_with_dark_exciton_channel(tmp_path, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavqed import fitkit
+from cavqed import fitkit, polariton
 from cavqed.fitkit import (
     FitError,
     fit_anticrossing,
@@ -91,6 +91,20 @@ class TestLorentzians:
         with pytest.raises(FitError):
             fit_lorentzians(Spectrum(x, np.ones(5), "wavelength_nm"), 2)
 
+    @pytest.mark.parametrize("gaussian_fwhm", [0.0, 0.6, 2.0])
+    def test_analytic_jacobian_matches_central_differences(self, gaussian_fwhm):
+        x = np.linspace(-10.0, 10.0, 801)
+        p = np.array([0.1, -3.0, 1.2, 2.0, 0.5, -0.8, 1.0, 4.0, 2.0, 0.7])
+        sigma_g = gaussian_fwhm * fitkit._FWHM_TO_SIGMA
+
+        def residual(q):
+            return q[0] + sum(fitkit._line_profile(x, *q[1 + 3 * k: 4 + 3 * k], sigma_g)
+                              for k in range(3))
+
+        fd = fitkit._fd_jacobian(residual, p, residual(p))
+        analytic = fitkit._peaks_jacobian(x, p, 3, sigma_g)
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
 
 def synth_anticross(g, dl_list, lambda_x=942.5, gx=8.5, gm=24.1, seed=None,
                     noise_nm=0.0):
@@ -135,6 +149,31 @@ class TestAnticrossing:
     def test_single_detuning_rejected(self):
         with pytest.raises(FitError):
             fit_anticrossing(np.zeros(8), 942.5 + 0.01 * np.arange(8))
+
+    @pytest.mark.parametrize("g,gx,gm", [
+        (18.4, 8.5, 24.1),     # paper values
+        (-18.4, -8.5, 24.1),   # negative g and gamma_x, as a free fit may reach
+        (18.4, 40.0, 24.1),    # exciton broader than the cavity
+        (2.0, 8.5, 24.1),      # weak coupling
+        (0.0, 24.1, 24.1),     # uncoupled and degenerate
+    ])
+    def test_array_branches_match_per_point_eigenmodes(self, g, gx, gm):
+        dl = np.concatenate([np.linspace(-0.7, 0.7, 41), [0.0, 1e-9]])
+        blue, red = fitkit._branch_wavelengths(dl, g, 942.5, gx, gm)
+        for i, d in enumerate(dl):
+            p = SystemParams(lambda_x_nm=942.5, lambda_m_nm=942.5 - d, g_GHz=abs(g),
+                             gamma_x_GHz=abs(gx), gamma_m_GHz=abs(gm), gamma_b_GHz=0.0)
+            m = eigenmodes(p, Detuning.from_nm(d, 942.5))
+            assert blue[i] == wavelength_to_frequency(1.0) / m.omega_plus_GHz
+            assert red[i] == wavelength_to_frequency(1.0) / m.omega_minus_GHz
+
+    def test_nonpositive_cavity_wavelength_rejected(self):
+        with pytest.raises(ValueError):
+            fitkit._branch_wavelengths(np.array([0.0, 942.5]), 18.4, 942.5, 8.5, 24.1)
+        with pytest.raises(ValueError):
+            fitkit._branch_wavelengths(np.array([0.0, 0.1]), 18.4, -1.0, 8.5, 24.1)
+        with pytest.raises(ValueError):
+            polariton._complex_eigenvalues(np.array([942.5, -1.0]), 0.0, 18.4, 8.5, 24.1)
 
 
 class TestLifetimeCurve:

@@ -110,11 +110,13 @@ class TestStartStopHistogram:
 
     @pytest.mark.parametrize("offset", [0.0, 1e9])
     @pytest.mark.parametrize("bin_ns,window_ns", [(0.25, 100.0), (0.5, 10.0),
-                                                  (2.0, 20.0)])
+                                                  (2.0, 20.0), (0.1, 10.0),
+                                                  (0.3, 30.0)])
     def test_all_pairs_matches_reference(self, bin_ns, window_ns, offset):
         # every pair's delay histogrammed directly; around 0 the subtraction
         # of a start from a stop can round, and near 1e9 ns an ulp of a click
-        # time is about 1e-7 ns
+        # time is about 1e-7 ns; 0.1 and 0.3 ns are not exact in binary, so
+        # their bin edges round too
         rng = np.random.default_rng(11)
         starts, stops = self._edge_case_streams(rng, bin_ns, window_ns, offset)
         h = start_stop_histogram(starts, stops, bin_ns=bin_ns, window_ns=window_ns)

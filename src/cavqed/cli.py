@@ -136,10 +136,6 @@ def _meta(cfg: RunConfig, command: str, **extra) -> dict:
     return meta
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    return os.path.join(cfg.output_dir, name)
-
-
 def _detuning(cfg: RunConfig, dl_nm: float) -> Detuning:
     return Detuning.from_nm(dl_nm, cfg.system.lambda_m_nm)
 
@@ -249,10 +245,12 @@ def _lifetime_point(cfg: RunConfig, dl: float, method: str, seed) -> float:
                                              pulses.rep_period_ns, bin_ns=bin_ns)
     fit = fitkit.fit_decay(hist, "mono")
     tau = fit.params["tau_ns"]
-    if not (fit.converged and tau > bin_ns):
+    # The folded decay cannot tell a tau beyond the period from a flat background.
+    if not (fit.converged and bin_ns < tau < pulses.rep_period_ns):
         raise dynamics.NumericalError(
             f"lifetime fit at detuning {dl} nm gave tau = {tau:.3g} ns ({fit.message}); "
-            f"need a converged value above the bin width {bin_ns:.3g} ns")
+            f"need a converged value between the bin width {bin_ns:.3g} ns "
+            f"and the repetition period {pulses.rep_period_ns:.3g} ns")
     return tau
 
 

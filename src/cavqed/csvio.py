@@ -77,7 +77,7 @@ def read_csv(path):
     """
     meta: dict = {}
     header: list[str] | None = None
-    rows: list[list[str]] = []
+    rows: list[str] = []
     with open(path) as fh:
         for number, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -92,18 +92,20 @@ def read_csv(path):
             if header is None:
                 header = [c.strip() for c in line.split(",")]
                 continue
-            row = [c.strip() for c in line.split(",")]
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{number}: {len(row)} cells, "
+            cells = line.count(",") + 1
+            if cells != len(header):
+                raise ValueError(f"{path}:{number}: {cells} cells, "
                                  f"header has {len(header)}")
-            rows.append(row)
+            rows.append(line)
     if header is None:
         raise ValueError(f"{path}: no header row found")
+    # Column j is every len(header)-th cell from j; floats parse past whitespace.
+    cells = ",".join(rows).split(",") if rows else []
     columns = {}
     for j, name in enumerate(header):
-        cells = [r[j] for r in rows]
+        column = cells[j::len(header)]
         try:
-            columns[name] = np.array([float(c) for c in cells])
+            columns[name] = np.array(column, dtype=float)
         except ValueError:
-            columns[name] = np.array(cells)
+            columns[name] = np.array([c.strip() for c in column])
     return meta, columns

@@ -1,14 +1,14 @@
 """Master-equation layer: propagation, steady state, spectra, correlations.
 
-The Lindblad generator L is assembled as a dense matrix acting on row-major
-vectorized density matrices (dimensions here never exceed a few hundred).
+The Lindblad generator L acts on row-major vectorized density matrices.
 H and every collapse operator shift N = a†a + |x⟩⟨x| + |f⟩⟨f| by a fixed
 amount, so L is block-diagonal in the coherence order k = N_i − N_j of
-|i⟩⟨j|.  Each model diagonalizes a block on first use, L_k = V Λ V⁻¹:
+|i⟩⟨j|.  L itself is never formed: on first use a model assembles a block
+L_k from pieces of H and the jump operators and diagonalizes it, L_k = V Λ V⁻¹:
 
 * propagation is e^{Lt} = V e^{Λt} V⁻¹ on every block the state occupies;
 * a two-time correlation (quantum regression theorem) is Σ_k c_k e^{λ_k τ},
-  with the g2 vectors JρJ† in k = 0;
+  summed over the modes, with the g2 vectors JρJ† in k = 0;
 * a spectrum is the exact resolvent Re Σ_k c_k / (2πiΔν − λ_k), with aρ
   and σρ in k = −1.
 
@@ -96,15 +96,27 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> float:
     return float(np.trace(op @ rho).real)
 
 
-def liouvillian(h_ang: np.ndarray, jump_ops: list[np.ndarray]) -> np.ndarray:
-    """Lindblad generator as a matrix on row-major vectorized states (rad/ns)."""
-    d = h_ang.shape[0]
-    ident = np.eye(d, dtype=complex)
-    gen = -1j * (np.kron(h_ang, ident) - np.kron(ident, h_ang.T))
-    for c in jump_ops:
+def _kron_block(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """kron(a, b)[np.ix_(idx, idx)] for the row-major entries idx = i·d + j."""
+    return a[i[:, None], i] * b[j[:, None], j]
+
+
+def liouvillian(h_ang: np.ndarray, jump_ops: list[np.ndarray], idx: np.ndarray,
+                unravelled=()) -> np.ndarray:
+    """Block L[idx, idx] of the Lindblad generator on row-major vectorized states (rad/ns).
+
+    Terms add in the order of the kron form of L, so the block equals that
+    form's bit for bit.  Operators at positions ``unravelled`` lose J⊗J*
+    (the no-click generator L₀).
+    """
+    ident = np.eye(h_ang.shape[0], dtype=complex)
+    i, j = np.divmod(idx, h_ang.shape[0])
+    gen = -1j * (_kron_block(h_ang, ident, i, j) - _kron_block(ident, h_ang.T, i, j))
+    for n, c in enumerate(jump_ops):
         cdc = c.conj().T @ c
-        gen += np.kron(c, c.conj())
-        gen -= 0.5 * (np.kron(cdc, ident) + np.kron(ident, cdc.T))
+        if n not in unravelled:
+            gen += _kron_block(c, c.conj(), i, j)
+        gen -= 0.5 * (_kron_block(cdc, ident, i, j) + _kron_block(ident, cdc.T, i, j))
     return gen
 
 
@@ -127,14 +139,16 @@ class _Block(NamedTuple):
 
 @dataclass(frozen=True)
 class _Model:
-    """Prebuilt operators and generator for one parameter point."""
+    """Prebuilt operators for one parameter point; generator blocks on demand."""
 
     params: SystemParams
     detuning: Detuning
     space: StateSpace
     h_ang: np.ndarray
     channels: list
-    generator: np.ndarray
+    # Channels whose jump term the blocks leave out (trajectories' L₀).
+    _unravelled: tuple = ()
+    _gens: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -144,11 +158,20 @@ class _Model:
         n = np.diag(sp.number + np.eye(sp.dim) - sp.projectors["ground"]).real
         return np.rint(np.subtract.outer(n, n)).astype(int).reshape(-1)
 
+    def generator(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(idx, L[idx, idx]) for the entries idx of order k, assembled on first use."""
+        if k not in self._gens:
+            idx = np.flatnonzero(self.orders == k)
+            live = [c for c in self.channels if c.rate_GHz > 0]
+            self._gens[k] = idx, liouvillian(
+                self.h_ang, [c.jump_operator for c in live], idx,
+                [n for n, c in enumerate(live) if c.label in self._unravelled])
+        return self._gens[k]
+
     def block(self, k: int) -> _Block:
         """Eigendecomposition of the order-k block, computed on first use."""
         if k not in self._blocks:
-            idx = np.flatnonzero(self.orders == k)
-            gen = self.generator[np.ix_(idx, idx)]
+            idx, gen = self.generator(k)
             # QZ with B = I instead of geev: geev's scaling balance loses ~1e-8
             # of accuracy when tiny rates (entries ~1e-28) sit next to large ones.
             evals, vecs = scipy.linalg.eig(gen, np.eye(idx.size))
@@ -158,15 +181,10 @@ class _Model:
             self._blocks[k] = _Block(idx, gen, evals, vecs, vinv, cond)
         return self._blocks[k]
 
-    @property
-    def eigen(self) -> _Block:  # the k = 0 block: steady state and g2 vectors
-        return self.block(0)
-
     @cached_property
     def steady(self) -> np.ndarray:
         """Null-space steady state of the k = 0 block, trace-normalized."""
-        idx = np.flatnonzero(self.orders == 0)
-        gen, d = self.generator[np.ix_(idx, idx)], self.space.dim
+        (idx, gen), d = self.generator(0), self.space.dim
         svals = np.linalg.svd(gen, compute_uv=False)
         tol = max(1e-12 * svals[0], 1e-14)
         null_dim = int(np.sum(svals < tol))
@@ -194,9 +212,7 @@ def build_model(p: SystemParams, detuning: Detuning | None = None) -> _Model:
         detuning = p.detuning()
     space = hilbert.build_space(p)
     h_ang = hamiltonian(p, detuning, space)
-    channels = collapse_channels(p, space)
-    jumps = [c.jump_operator for c in channels if c.rate_GHz > 0]
-    return _Model(p, detuning, space, h_ang, channels, liouvillian(h_ang, jumps))
+    return _Model(p, detuning, space, h_ang, collapse_channels(p, space))
 
 
 def _propagate(model: _Model, vec0: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -371,8 +387,17 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None = None,
 
 def _propagate_probe(model: _Model, x0: np.ndarray, probe: np.ndarray,
                      tau_grid: np.ndarray) -> np.ndarray:
-    """Tr(probe† e^{L tau} x0) at every tau in the grid."""
-    return _propagate(model, x0.reshape(-1), tau_grid) @ probe.conj().reshape(-1)
+    """Tr(probe† e^{L tau} x0) at every tau in the grid, summed over modes."""
+    x0, probe = x0.reshape(-1), probe.conj().reshape(-1)
+    total = np.zeros(tau_grid.size, dtype=complex)
+    for k in np.unique(model.orders[x0 != 0]):
+        b = model.block(k)
+        x, pr = x0[b.idx], probe[b.idx]
+        if b.vinv is None:
+            total += b.propagate(x, tau_grid) @ pr
+        else:
+            total += np.exp(np.outer(tau_grid, b.evals)) @ ((pr @ b.vecs) * (b.vinv @ x))
+    return total
 
 
 def g2_auto(p: SystemParams, detuning: Detuning | None = None,

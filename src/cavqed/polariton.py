@@ -158,14 +158,6 @@ class Spectrum:
         return Spectrum(lam, self.intensity[::-1].copy(), "wavelength_nm",
                         comps, dict(self.meta))
 
-    def to_frequency(self) -> "Spectrum":
-        if self.kind == "frequency_GHz":
-            return self
-        freq = (wavelength_to_frequency(1.0) / self.axis)[::-1]
-        comps = {k: v[::-1].copy() for k, v in self.components.items()}
-        return Spectrum(freq, self.intensity[::-1].copy(), "frequency_GHz",
-                        comps, dict(self.meta))
-
 
 @dataclass(frozen=True)
 class LifetimeBudget:

@@ -123,15 +123,13 @@ class _Engine:
     """Conditional-state unravelling of the detected channels of one model."""
 
     def __init__(self, model: dynamics._Model):
-        ops = {c.label: c.jump_operator for c in model.channels}
-        jumps = [ops[label] for label in DETECTED]
-        self.model = replace(model, generator=model.generator
-                             - sum(np.kron(j, j.conj()) for j in jumps))
+        self.model = replace(model, _unravelled=DETECTED)
         self.block = self.model.block(0)
         # Block entry n is ρ[i[n], j[n]].
         self._i, self._j = np.divmod(self.block.idx, model.space.dim)
         self.trace = (self._i == self._j).astype(float)
-        self.jumps = [self.sandwich(j) for j in jumps]
+        ops = {c.label: c.jump_operator for c in model.channels}
+        self.jumps = [self.sandwich(ops[label]) for label in DETECTED]
         # Row k gives Tr(J_k ρ J_k†); their sum is the click rate −P′.
         self.emission = np.array([self.trace @ j for j in self.jumps])
         self._probe = np.vstack([self.trace, -self.emission.sum(axis=0)])
@@ -144,7 +142,7 @@ class _Engine:
 
     def sandwich(self, op: np.ndarray) -> np.ndarray:
         """ρ → op ρ op† on the k = 0 block, for an op that shifts N by a fixed amount."""
-        return op[np.ix_(self._i, self._i)] * op.conj()[np.ix_(self._j, self._j)]
+        return dynamics._kron_block(op, op.conj(), self._i, self._j)
 
     def no_click(self, x: np.ndarray):
         """Functions of s: (log P, P′/P) and the state e^{L₀s}x, for Tr x = 1.

@@ -185,14 +185,18 @@ def test_trajectory_zero_norm_exits_numeric(tmp_path, monkeypatch, capsys):
 
 
 def test_lifetime_with_dark_exciton_channel(tmp_path):
-    assert run(["lifetime", "--dl-start", "4.0", "--dl-end", "4.1", "--steps", "2",
+    # at 2 nm the Purcell lifetime (8.9 ns) lies inside the 25 ns period
+    assert run(["lifetime", "--dl-start", "2.0", "--dl-end", "2.1", "--steps", "2",
                 "--method", "trajectories", "--seed", "7",
-                "--set", "system.gamma_b_GHz=0", "--set", "pulses.n_pulses=300",
+                "--set", "system.gamma_b_GHz=0", "--set", "pulses.n_pulses=1000",
                 "--out", tmp_path / "t.csv"]) == 0
 
 
+# tau = 25 ns is the default repetition period, 3.59e6 ns what the fit read
+# at 4 nm with a dark exciton channel (Purcell lifetime 35.5 ns)
 @pytest.mark.parametrize("tau_ns,converged", [(1.0, False), (7.36e-05, True),
-                                               (float("nan"), True)])
+                                               (float("nan"), True), (25.0, True),
+                                               (3.59e6, True)])
 def test_lifetime_rejects_unchecked_fit(tmp_path, monkeypatch, capsys,
                                         tau_ns, converged):
     def fake_fit(hist, model):

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from cavqed import dynamics, fitkit, hilbert
+from cavqed import dynamics, fitkit, hilbert, trajectories
 from cavqed.dynamics import (
     NumericalError,
     emission_spectrum,
@@ -40,10 +40,55 @@ def _local_maxima(y, x):
     return x[i]
 
 
-@pytest.mark.parametrize("p,dl_nm", [(SystemParams(n_max=5), 0.0),
-                                     (SystemParams(n_max=5), 4.1),
-                                     (SystemParams(n_max=3), 0.2),
-                                     (FEEDER, 4.1)])
+def _full_generator(model):
+    """The whole D²×D² Lindblad generator from kron products: the reference
+    that the model's blocks, assembled without it, are checked against."""
+    h, ident = model.h_ang, np.eye(model.space.dim, dtype=complex)
+    gen = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    for c in model.channels:
+        if c.rate_GHz > 0:
+            j = c.jump_operator
+            cdc = j.conj().T @ j
+            gen += np.kron(j, j.conj())
+            gen -= 0.5 * (np.kron(cdc, ident) + np.kron(ident, cdc.T))
+    return gen
+
+
+BLOCK_POINTS = [(SystemParams(n_max=5), 0.0),
+                (SystemParams(n_max=5), 4.1),
+                (SystemParams(n_max=3), 0.2),
+                (FEEDER, 4.1)]
+# Parameter sets that trajectories unravel: acceptance tests 3 (pulsed
+# lifetime), 5 (sets B and C, CW near and far) and 6ii (single photon).
+CLICK_POINTS = [(SystemParams(g_GHz=20.7, pump_GHz=0.0, n_max=3), 1.0),
+                (SystemParams(g_GHz=18.4, pump_GHz=0.05, n_max=2), 0.2),
+                (SystemParams(g_GHz=20.7, gamma_b_GHz=0.015, pump_GHz=0.01,
+                              transfer_GHz=0.05, n_max=1), 4.1),
+                (SystemParams(g_GHz=0.0, gamma_x_GHz=0.2, gamma_b_GHz=0.2,
+                              pump_GHz=0.0, n_max=1), 0.0)]
+
+
+@pytest.mark.parametrize("p,dl_nm", BLOCK_POINTS + CLICK_POINTS)
+def test_blocks_equal_kron_reference(p, dl_nm):
+    # each block is assembled from gathered pieces of H and the jump
+    # operators in the same sequence of adds as the kron products, so it is
+    # the reference's block exactly, and so is trajectories' no-click L0
+    det = Detuning.from_nm(dl_nm, 942.5)
+    p = p.with_detuning(det)
+    model = dynamics.build_model(p, det)
+    full = _full_generator(model)
+    for k in np.unique(model.orders):
+        b = model.block(int(k))
+        assert np.array_equal(b.gen, full[np.ix_(b.idx, b.idx)])
+    engine = trajectories._Engine(dynamics.build_model(p, det))
+    ops = {c.label: c.jump_operator for c in model.channels}
+    detected = [ops[label] for label in trajectories.DETECTED]
+    full0 = full - sum(np.kron(j, j.conj()) for j in detected)
+    b0 = engine.block
+    assert np.array_equal(b0.gen, full0[np.ix_(b0.idx, b0.idx)])
+
+
+@pytest.mark.parametrize("p,dl_nm", BLOCK_POINTS)
 def test_generator_block_diagonal_in_coherence_order(p, dl_nm):
     # H and every channel shift N = a†a + |x><x| + |f><f| by a fixed amount,
     # so L never mixes entries |i><j| of different order N_i - N_j
@@ -56,7 +101,7 @@ def test_generator_block_diagonal_in_coherence_order(p, dl_nm):
             n[sp.index(level, photons)] = photons + (level != hilbert.GROUND)
     orders = np.subtract.outer(n, n).reshape(-1)
     assert np.array_equal(model.orders, orders)
-    assert np.all(model.generator[orders[:, None] != orders[None, :]] == 0)
+    assert np.all(_full_generator(model)[orders[:, None] != orders[None, :]] == 0)
 
 
 class TestEvolve:
@@ -123,11 +168,12 @@ class TestEvolve:
         p = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5,
                          gamma_m_GHz=24.1, gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3)
         model = dynamics.build_model(p, RES)
-        assert model.eigen.cond > dynamics._COND_MAX
+        assert model.block(0).cond > dynamics._COND_MAX
         rho0 = _pure(model.space, hilbert.EXCITON, 0)
         t = np.linspace(0.0, 0.5, 11)
         rhos = evolve(rho0, p, t, model=model)
-        exact = [scipy.linalg.expm(model.generator * tt) @ rho0.reshape(-1) for tt in t]
+        full = _full_generator(model)
+        exact = [scipy.linalg.expm(full * tt) @ rho0.reshape(-1) for tt in t]
         assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
 
     @pytest.mark.parametrize("p,source", [
@@ -137,10 +183,10 @@ class TestEvolve:
     ])
     def test_forced_fallback_matches_eigen_path(self, monkeypatch, p, source):
         eig_model = dynamics.build_model(p, RES)
-        assert eig_model.eigen.vinv is not None  # decomposed before the patch
+        assert eig_model.block(0).vinv is not None  # decomposed before the patch
         monkeypatch.setattr(dynamics, "_COND_MAX", 0.0)
         fb_model = dynamics.build_model(p, RES)
-        assert fb_model.eigen.vinv is None
+        assert fb_model.block(0).vinv is None
         rho0 = _pure(eig_model.space, hilbert.EXCITON, 1)
         t = np.linspace(0.0, 2.0, 9)
         assert np.max(np.abs(evolve(rho0, p, t, model=fb_model)
@@ -168,7 +214,8 @@ class TestEvolve:
         assert set(model.orders[rho0.reshape(-1) != 0]) == {-2, -1, 0, 1, 2}
         t = np.linspace(0.0, 0.5, 11)
         rhos = evolve(rho0, p, t, model=model)
-        exact = [scipy.linalg.expm(model.generator * tt) @ rho0.reshape(-1) for tt in t]
+        full = _full_generator(model)
+        exact = [scipy.linalg.expm(full * tt) @ rho0.reshape(-1) for tt in t]
         assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
         assert all((model.block(k).vinv is None) == (cond_max == 0.0) for k in range(-2, 3))
 
@@ -182,7 +229,8 @@ class TestEvolve:
         rho0 = _pure(model.space, hilbert.EXCITON, 1)
         t = np.array([0.0, 0.003, 0.05, 0.5])
         rhos = evolve(rho0, p, t, model=model, validate=False)
-        exact = [scipy.linalg.expm(model.generator * tt) @ rho0.reshape(-1) for tt in t]
+        full = _full_generator(model)
+        exact = [scipy.linalg.expm(full * tt) @ rho0.reshape(-1) for tt in t]
         assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
         for r in rhos:
             assert abs(np.trace(r) - 1.0) < 1e-9
@@ -217,7 +265,7 @@ class TestSteadyState:
     def test_residual_is_small(self):
         model = dynamics.build_model(PAPER, RES)
         rho = steady_state(PAPER, model=model)
-        resid = np.linalg.norm(model.generator @ rho.reshape(-1))
+        resid = np.linalg.norm(_full_generator(model) @ rho.reshape(-1))
         assert resid < 1e-10
 
     def test_solved_once_and_returned_as_copy(self):
@@ -385,6 +433,26 @@ class TestG2:
         plus = np.interp(2.0, trace.tau_ns, trace.values)
         minus = np.interp(-2.0, trace.tau_ns, trace.values)
         assert plus > 2.0 * minus
+
+    @pytest.mark.parametrize("cond_max", [dynamics._COND_MAX, 0.0])
+    @pytest.mark.parametrize("p,dl_nm", [(PAPER, 0.0), (FEEDER, 4.1)])
+    def test_modal_sum_matches_full_propagation(self, monkeypatch, cond_max, p, dl_nm):
+        # sum over the modes of a block against e^{L tau} x projected on the
+        # probe, for a g2 vector (k = 0) and a field vector (k = -1), both
+        # normalized as g2 and g1 are, so that the values are of order 1
+        monkeypatch.setattr(dynamics, "_COND_MAX", cond_max)
+        det = Detuning.from_nm(dl_nm, 942.5)
+        model = dynamics.build_model(p.with_detuning(det), det)
+        rho, a, sig = model.steady, model.space.a, model.space.sigma
+        n_m, n_x = a.conj().T @ a, sig.conj().T @ sig
+        g2_vec = sig @ rho @ sig.conj().T / expectation(n_x, rho)
+        pairs = [(g2_vec, n_m / expectation(n_m, rho)), (a @ rho / expectation(n_m, rho), a)]
+        tau = np.linspace(0.0, 20.0, 81)
+        for x0, probe in pairs:
+            got = dynamics._propagate_probe(model, x0, probe, tau)
+            want = dynamics._propagate(model, x0.reshape(-1), tau) @ probe.conj().reshape(-1)
+            assert np.max(np.abs(got - want)) < 1e-14
+        assert all((model.block(k).vinv is None) == (cond_max == 0.0) for k in (0, -1))
 
     def test_zero_emission_rejected(self):
         p = SystemParams(g_GHz=0.0, gamma_x_GHz=0.2, gamma_m_GHz=24.1,

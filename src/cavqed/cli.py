@@ -10,7 +10,7 @@ Configuration lives in one JSON file with sections mirroring the config
 dataclasses; any value can be overridden from the command line with
 ``--set section.key=value``.  Exit codes: 0 success, 2 configuration or
 usage error, 3 numerical failure.  Every stochastic command requires a
-seed.  CAVQED_THREADS sets the process count for trajectory batches.
+seed.  A CW trajectory ``g2`` simulates one emitter for ``--duration-ns``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -47,17 +46,16 @@ class ConfigError(ValueError):
     """Bad configuration file, flag value, or input data layout."""
 
 
+@dataclass
 class RunConfig:
     """Bundle of all sub-configurations plus seed and output directory."""
 
-    def __init__(self, system=None, instrument=None, pulses=None,
-                 telegraph=None, seed=None, output_dir="."):
-        self.system = system or SystemParams()
-        self.instrument = instrument or InstrumentConfig()
-        self.pulses = pulses or PulseConfig()
-        self.telegraph = telegraph or TelegraphConfig()
-        self.seed = seed
-        self.output_dir = output_dir
+    system: SystemParams = field(default_factory=SystemParams)
+    instrument: InstrumentConfig = field(default_factory=InstrumentConfig)
+    pulses: PulseConfig = field(default_factory=PulseConfig)
+    telegraph: TelegraphConfig = field(default_factory=TelegraphConfig)
+    seed: int | None = None
+    output_dir: str = "."
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -74,14 +72,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {
-            "system": asdict(self.system),
-            "instrument": asdict(self.instrument),
-            "pulses": asdict(self.pulses),
-            "telegraph": asdict(self.telegraph),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     def hash(self) -> str:
         return config_hash(self.to_dict())
@@ -268,26 +259,6 @@ def cmd_lifetime(args) -> int:
 # g2
 # ---------------------------------------------------------------------------
 
-def _run_cw_parallel(p, det, duration, seed, n_traj) -> trajectories.ClickStream:
-    workers = int(os.environ.get("CAVQED_THREADS", "1"))
-    if workers <= 1 or n_traj <= 1:
-        return trajectories.run_cw(p, det, duration, seed, n_trajectories=n_traj)
-    chunks = np.array_split(np.arange(n_traj), workers)
-    futures = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in chunks:
-            if chunk.size:
-                futures.append(pool.submit(
-                    trajectories.run_cw, p, det, duration, seed,
-                    chunk.size, 0.0, int(chunk[0])))
-    parts = [f.result() for f in futures]
-    times = np.concatenate([s.times_ns for s in parts])
-    codes = np.concatenate([s.channel_codes for s in parts])
-    order = np.argsort(times, kind="stable")
-    return trajectories.ClickStream(times[order], codes[order], parts[0].labels,
-                                    duration, meta=dict(parts[0].meta))
-
-
 def _write_clicks(path, clicks: trajectories.ClickStream, meta: dict) -> None:
     labels = np.array(clicks.labels)[clicks.channel_codes]
     write_csv(path, {"channel": labels, "time_ns": clicks.times_ns}, meta)
@@ -315,7 +286,7 @@ def cmd_g2(args) -> int:
         clicks = trajectories.run_pulsed(p, det, cfg.pulses, seed=seed)
         duration = clicks.duration_ns
     else:
-        clicks = _run_cw_parallel(p, det, args.duration_ns, seed, args.trajectories)
+        clicks = trajectories.run_cw(p, det, args.duration_ns, seed)
         duration = args.duration_ns
     if args.instrument:
         clicks = instrument.jitter_and_thin(clicks, cfg.instrument, seed=seed + 1)
@@ -483,9 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pulsed", action="store_true")
     sp.add_argument("--detuning-nm", type=float, default=0.0)
     sp.add_argument("--duration-ns", type=float, default=1e6,
-                    help="CW acquisition length (trajectories)")
-    sp.add_argument("--trajectories", type=int, default=1,
-                    help="independent CW trajectories to merge")
+                    help="CW acquisition length of the one emitter (trajectories)")
     sp.add_argument("--window-ns", type=float, default=100.0)
     sp.add_argument("--bin-ns", type=float, default=0.25)
     sp.add_argument("--estimator", choices=["all-pairs", "start-stop"],

@@ -414,7 +414,9 @@ def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
     """Fit the Lorentzian lifetime-versus-detuning law for g and gamma_b.
 
     The model is 1/(2 pi tau) = gamma_b + gamma_m g^2/(dw^2 + (gamma_m/2)^2);
-    the cavity linewidth is held fixed (it is measured independently).  By
+    the cavity linewidth is held fixed (it is measured independently).  The
+    law holds for gamma_x << gamma_m; pass gamma_m + gamma_x as
+    ``gamma_m_GHz`` for lifetimes from a master equation with dephasing.  By
     default residuals are relative, reflecting a constant fractional error on
     lifetimes spanning orders of magnitude; pass ``weights`` (1/sigma) to
     override.

@@ -270,9 +270,9 @@ def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
     if detuning is None:
         detuning = p.detuning()
     modes = eigenmodes(p, detuning)
-    if amplitude_model in ("hopfield-weighted", "hopfield"):
+    if amplitude_model == "hopfield-weighted":
         a_plus, a_minus = modes.photon_fraction_plus, modes.photon_fraction_minus
-    elif amplitude_model in ("constant-pair", "constant"):
+    elif amplitude_model == "constant-pair":
         a_plus, a_minus = amplitudes
     else:
         raise ValueError(f"unknown amplitude model {amplitude_model!r}")
@@ -294,7 +294,10 @@ def purcell_lifetime(p: SystemParams, detuning: Detuning | None = None) -> Lifet
 
     The total decay rate is gamma_b + gamma_SE with
     gamma_SE = gamma_m * g**2 / (dw**2 + (gamma_m/2)**2); the lifetime uses
-    the FWHM convention tau = 1/(2*pi*gamma_tot).
+    the FWHM convention tau = 1/(2*pi*gamma_tot).  This is the paper's law,
+    the gamma_x << gamma_m limit of the master equation: pure dephasing
+    widens the Lorentzian to gamma_m + gamma_x, so at the default gamma_x
+    the master-equation lifetime is shorter off resonance.
     """
     if p.gamma_m_GHz <= 0:
         raise ValueError("purcell_lifetime requires a lossy cavity (gamma_m > 0)")

@@ -17,8 +17,8 @@ e^{L₀s} comes from the model's decomposition of the k = 0 block of L₀ (or
 its expm fallback near an exceptional point), so nothing is time-stepped.
 
 Randomness comes from counter-based Philox streams keyed by
-(master seed, trajectory index), so runs are bit-reproducible and
-trajectories are independent regardless of scheduling order.
+(master seed, trajectory index), so runs are bit-reproducible and the
+trajectories of an ensemble are independent.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class PulseConfig:
 
 @dataclass
 class ClickStream:
-    """Column-packed sequence of click records from one or more trajectories."""
+    """Column-packed sequence of click records from one trajectory."""
 
     times_ns: np.ndarray
     channel_codes: np.ndarray
@@ -249,38 +249,26 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 
 def run_cw(p: SystemParams, detuning: Detuning | None = None,
            duration_ns: float = 1e5, seed: int = 0,
-           n_trajectories: int = 1, discard_ns: float = 0.0,
-           first_trajectory: int = 0) -> ClickStream:
-    """Continuous-wave unravelling; clicks merged over trajectories.
+           discard_ns: float = 0.0) -> ClickStream:
+    """Continuous-wave unravelling: the clicks of one emitter over ``duration_ns``.
 
-    Requires an incoherent pump (exciton and/or feeder); trajectories start
-    from the absolute ground state, so pass ``discard_ns`` to drop the short
-    initial transient when steady-state statistics matter.
-    ``first_trajectory`` offsets the per-trajectory RNG streams so batches
-    run in parallel reproduce exactly the clicks of one serial run.
+    Requires an incoherent pump (exciton and/or feeder); the trajectory
+    starts from the absolute ground state, so pass ``discard_ns`` to drop the
+    short initial transient when steady-state statistics matter.
     """
     if p.pump_GHz <= 0 and not (p.emitter_levels == 3 and p.feeder_pump_GHz > 0):
         raise ValueError("run_cw needs a pump; use run_pulsed for pulsed excitation")
     if duration_ns <= 0:
         raise ValueError("duration must be positive")
     engine = _Engine(dynamics.build_model(p, detuning))
-    all_times, all_codes = [], []
-    for i in range(n_trajectories):
-        rng = _rng_for(seed, first_trajectory + i)
-        times: list[float] = []
-        codes: list[int] = []
-        engine.advance(rng, engine.ground, rng.random(), 0.0, duration_ns,
-                       times, codes)
-        all_times.append(np.asarray(times))
-        all_codes.append(np.asarray(codes, dtype=np.int16))
-    times = np.concatenate(all_times) if all_times else np.empty(0)
-    codes = np.concatenate(all_codes) if all_codes else np.empty(0, np.int16)
-    order = np.argsort(times, kind="stable")
-    times, codes = times[order], codes[order]
+    rng = _rng_for(seed, 0)
+    times: list[float] = []
+    codes: list[int] = []
+    engine.advance(rng, engine.ground, rng.random(), 0.0, duration_ns, times, codes)
+    times, codes = np.asarray(times), np.asarray(codes, dtype=np.int16)
     keep = times >= discard_ns
     return ClickStream(times[keep], codes[keep], DETECTED, duration_ns,
                        meta={"mode": "cw", "seed": seed,
-                             "n_trajectories": n_trajectories,
                              "detuning_nm": engine.model.detuning.dl_nm})
 
 

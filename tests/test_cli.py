@@ -1,12 +1,15 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from cavqed import csvio, fitkit, trajectories
+from cavqed import csvio, dynamics, fitkit, trajectories
 from cavqed.cli import main
 from cavqed.csvio import read_csv, write_csv
+from cavqed.polariton import SystemParams
+from cavqed.units import Detuning
 
 
 def run(args):
@@ -175,7 +178,6 @@ def test_g2_regression_cross(tmp_path):
 
 
 def test_trajectory_zero_norm_exits_numeric(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CAVQED_THREADS", "1")
     monkeypatch.setattr(trajectories._Engine, "click_weights",
                         lambda self, x: np.zeros(len(trajectories.DETECTED)))
     assert run(["g2", "--kind", "auto", "--method", "trajectories",
@@ -240,6 +242,31 @@ def test_g2_trajectories_byte_identical(tmp_path):
         assert b1 == b2 and len(b1) > 100
 
 
+def test_g2_trajectories_cw_dip_matches_regression(tmp_path):
+    # One emitter: K overlaid trajectories would read about 1 - 0.73/K here.
+    system = {"lambda_x_nm": 946.6, "emitter_levels": 3, "gamma_x_GHz": 0.015,
+              "pump_GHz": 0.001, "feeder_pump_GHz": 0.3,
+              "feeder_decay_GHz": 0.1224, "n_max": 2}
+    duration, bin_ns = 1e4, 0.25
+    args = ["g2", "--kind", "auto", "--method", "trajectories",
+            "--detuning-nm", "4.1", "--seed", "1", "--duration-ns", duration,
+            "--bin-ns", bin_ns, "--window-ns", "20",
+            "--out-prefix", tmp_path / "dip"]
+    for key, value in system.items():
+        args += ["--set", f"system.{key}={value}"]
+    assert run(args) == 0
+    meta, cols = read_csv(str(tmp_path / "dip_histogram.csv"))
+    central = np.argsort(np.abs(cols["tau_ns"]))[:2]
+    measured = float(np.mean(cols["g2"][central]))
+    det = Detuning.from_nm(4.1, 942.5)
+    tau = np.linspace(0.0, bin_ns, 101)
+    exact = dynamics.g2_auto(SystemParams(**system).with_detuning(det), det, tau)
+    expected = np.trapezoid(exact.values, tau) / bin_ns
+    # Pair counts the two bins hold at g2 = 1, for a Poisson error on the dip.
+    flat = 2 * int(meta["n_starts"]) * int(meta["n_stops"]) * bin_ns / duration
+    assert abs(measured - expected) < 4.0 * math.sqrt(expected / flat)
+
+
 def test_g2_pulsed_peak_report(tmp_path):
     prefix = tmp_path / "gp"
     assert run(["g2", "--kind", "auto", "--method", "trajectories", "--pulsed",
@@ -270,27 +297,6 @@ def test_lifetime_trajectories_endpoints(tmp_path):
     # capture-limited at resonance, background-limited far detuned
     assert tau[0] == pytest.approx(0.060, rel=0.35)
     assert tau[-1] == pytest.approx(7.8, rel=0.2)
-
-
-def test_parallel_trajectories_identical(tmp_path, monkeypatch):
-    args = ["g2", "--kind", "auto", "--method", "trajectories",
-            "--detuning-nm", "4.1", "--seed", "23",
-            "--duration-ns", "4000", "--trajectories", "4",
-            "--window-ns", "20",
-            "--set", "system.lambda_x_nm=946.6",
-            "--set", "system.emitter_levels=3",
-            "--set", "system.gamma_x_GHz=0.015",
-            "--set", "system.pump_GHz=0.001",
-            "--set", "system.feeder_pump_GHz=2.0",
-            "--set", "system.feeder_decay_GHz=0.1224",
-            "--set", "system.n_max=2"]
-    monkeypatch.setenv("CAVQED_THREADS", "1")
-    assert run(args + ["--out-prefix", tmp_path / "serial"]) == 0
-    monkeypatch.setenv("CAVQED_THREADS", "3")
-    assert run(args + ["--out-prefix", tmp_path / "pool"]) == 0
-    for suffix in ("_clicks.csv", "_histogram.csv"):
-        assert ((tmp_path / ("serial" + suffix)).read_bytes()
-                == (tmp_path / ("pool" + suffix)).read_bytes())
 
 
 def test_decay_fit_command(tmp_path):

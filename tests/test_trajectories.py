@@ -26,16 +26,6 @@ def test_reproducible_streams():
     assert not np.array_equal(a.times_ns, c.times_ns)
 
 
-def test_parallel_chunks_reproduce_serial_merge():
-    serial = run_cw(TWO_LEVEL, RES, duration_ns=5e3, seed=7, n_trajectories=4)
-    first = run_cw(TWO_LEVEL, RES, duration_ns=5e3, seed=7, n_trajectories=2)
-    second = run_cw(TWO_LEVEL, RES, duration_ns=5e3, seed=7, n_trajectories=2,
-                    first_trajectory=2)
-    times = np.concatenate([first.times_ns, second.times_ns])
-    order = np.argsort(times, kind="stable")
-    assert np.array_equal(times[order], serial.times_ns)
-
-
 def test_cw_click_rate_matches_steady_state():
     duration = 1e6
     stream = run_cw(TWO_LEVEL, RES, duration_ns=duration, seed=42)

@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,25 +48,32 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Bundle of all sub-configurations plus seed and output directory."""
+    """All sub-configurations plus the seed; ``--out``/``--out-prefix`` name the files.
+
+    ``from_dict`` raises :class:`ConfigError` on an unknown key or a seed outside [0, 2**63).
+    """
 
     system: SystemParams = field(default_factory=SystemParams)
     instrument: InstrumentConfig = field(default_factory=InstrumentConfig)
     pulses: PulseConfig = field(default_factory=PulseConfig)
     telegraph: TelegraphConfig = field(default_factory=TelegraphConfig)
     seed: int | None = None
-    output_dir: str = "."
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        seed = data.get("seed")
+        if seed is not None and not (type(seed) is int and 0 <= seed < 2**63):
+            raise ConfigError(f"seed must be an integer in [0, 2**63), got {seed!r}")
         try:
             return cls(
                 system=SystemParams(**data.get("system", {})),
                 instrument=InstrumentConfig(**data.get("instrument", {})),
                 pulses=PulseConfig(**data.get("pulses", {})),
                 telegraph=TelegraphConfig(**data.get("telegraph", {})),
-                seed=data.get("seed"),
-                output_dir=data.get("output_dir", "."),
+                seed=seed,
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -91,6 +98,8 @@ def _apply_overrides(data: dict, assignments: list[str]) -> dict:
         node = data
         for key in keys[:-1]:
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {dotted}: {key!r} is not a section")
         node[keys[-1]] = value
     return data
 
@@ -105,18 +114,19 @@ def load_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
     data = _apply_overrides(data, args.set or [])
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
-    cfg = RunConfig.from_dict(data)
-    return cfg
+    return RunConfig.from_dict(data)
 
 
 def _require_seed(cfg: RunConfig) -> int:
     if cfg.seed is None:
         raise ConfigError("this command is stochastic: set a seed "
                           "(--seed or \"seed\" in the config)")
-    return int(cfg.seed)
+    return cfg.seed
 
 
 def _meta(cfg: RunConfig, command: str, **extra) -> dict:
@@ -146,9 +156,8 @@ def _wavelength_grid_spectrum(spec: Spectrum, step_nm: float) -> Spectrum:
 
 def cmd_spectrum(args) -> int:
     cfg = load_config(args)
-    p = cfg.system
     det = _detuning(cfg, args.detuning_nm)
-    p = p.with_detuning(det)
+    p = cfg.system.with_detuning(det)
     modes = eigenmodes(p, det)
     lines = [modes.omega_minus_GHz, modes.omega_plus_GHz, p.omega_m_GHz]
     pad = 8.0 * max(p.gamma_m_GHz, p.gamma_x_GHz)
@@ -266,8 +275,8 @@ def _write_clicks(path, clicks: trajectories.ClickStream, meta: dict) -> None:
 
 def cmd_g2(args) -> int:
     cfg = load_config(args)
-    p = cfg.system.with_detuning(_detuning(cfg, args.detuning_nm))
     det = _detuning(cfg, args.detuning_nm)
+    p = cfg.system.with_detuning(det)
     if args.method == "regression":
         if args.pulsed:
             raise ConfigError("regression g2 is CW only; use --method trajectories")
@@ -316,10 +325,9 @@ def cmd_g2(args) -> int:
                         half_window_ns=report.half_window_ns))
     else:
         trace = hbt.normalize_g2(hist, duration_ns=duration, mode="cw")
-    g2_on_bins = trace.values
     write_csv(args.out_prefix + "_histogram.csv",
               {"tau_ns": hist.centers_ns, "counts": hist.counts,
-               "g2": g2_on_bins},
+               "g2": trace.values},
               _meta(cfg, "g2", kind=args.kind, stage="histogram",
                     estimator=args.estimator, bin_ns=args.bin_ns,
                     n_starts=hist.n_starts, n_stops=hist.n_stops,

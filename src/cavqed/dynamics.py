@@ -73,7 +73,6 @@ class CorrelationTrace:
 
     tau_ns: np.ndarray
     values: np.ndarray
-    normalization: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -328,8 +327,8 @@ def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
     return total
 
 
-def emission_spectrum(p: SystemParams, detuning: Detuning | None = None,
-                      grid_GHz: np.ndarray | None = None, source: str = "auto",
+def emission_spectrum(p: SystemParams, detuning: Detuning | None,
+                      grid_GHz: np.ndarray, source: str = "auto",
                       model: _Model | None = None) -> Spectrum:
     """Emission spectrum as the exact resolvent of the field correlation.
 
@@ -400,8 +399,8 @@ def _propagate_probe(model: _Model, x0: np.ndarray, probe: np.ndarray,
     return total
 
 
-def g2_auto(p: SystemParams, detuning: Detuning | None = None,
-            tau_grid_ns: np.ndarray | None = None, source: str = "cavity",
+def g2_auto(p: SystemParams, detuning: Detuning | None,
+            tau_grid_ns: np.ndarray, source: str = "cavity",
             model: _Model | None = None) -> CorrelationTrace:
     """Steady-state intensity autocorrelation of one output port.
 
@@ -420,12 +419,12 @@ def g2_auto(p: SystemParams, detuning: Detuning | None = None,
         raise NumericalError(f"zero emission from source {label!r}: cannot normalize g2")
     x0 = op @ rho @ op.conj().T
     raw = _propagate_probe(model, x0, n_op, tau)
-    return CorrelationTrace(tau, raw / n_mean**2, normalization=float(n_mean**2),
+    return CorrelationTrace(tau, raw / n_mean**2,
                             meta={"kind": "auto", "source": label})
 
 
-def g2_cross(p: SystemParams, detuning: Detuning | None = None,
-             tau_grid_ns: np.ndarray | None = None,
+def g2_cross(p: SystemParams, detuning: Detuning | None,
+             tau_grid_ns: np.ndarray,
              model: _Model | None = None) -> CorrelationTrace:
     """Two-sided exciton/cavity cross-correlation.
 
@@ -455,5 +454,5 @@ def g2_cross(p: SystemParams, detuning: Detuning | None = None,
     else:
         full_tau = np.concatenate([-tau[::-1], tau])
         values = np.concatenate([neg[::-1], pos])
-    return CorrelationTrace(full_tau, values, normalization=float(denom),
+    return CorrelationTrace(full_tau, values,
                             meta={"kind": "cross", "positive_side": "exciton_then_cavity"})

@@ -25,7 +25,7 @@ from scipy.special import erfc, voigt_profile, wofz
 from . import polariton
 from .hbt import Histogram
 from .polariton import Spectrum, SystemParams
-from .units import SPEED_OF_LIGHT_NM_GHZ, detuning_to_frequency
+from .units import FWHM_TO_SIGMA, SPEED_OF_LIGHT_NM_GHZ, detuning_to_frequency
 
 __all__ = [
     "FitResult",
@@ -38,8 +38,6 @@ __all__ = [
     "fit_damped_modes",
     "peak_locations",
 ]
-
-_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 class FitError(RuntimeError):
@@ -59,9 +57,6 @@ class FitResult:
     derived: dict = field(default_factory=dict)
     covariance: np.ndarray | None = None
 
-    def __getitem__(self, name: str) -> float:
-        return self.params[name]
-
 
 def _fd_jacobian(residual, x, r0, rel_step=1e-6):
     """Central-difference Jacobian, step 1e-6 relative (absolute floor 1e-9)."""
@@ -76,29 +71,28 @@ def _fd_jacobian(residual, x, r0, rel_step=1e-6):
     return jac
 
 
-def levenberg_marquardt(residual, x0, jacobian=None, max_iter=200,
-                        gtol=1e-12, ftol=1e-14, xtol=1e-12, lam0=1e-3,
-                        n_data=None):
+def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
     """Minimize ||residual(x)||^2; returns (x, covariance, info dict).
 
-    The damping parameter multiplies the diagonal of J'J, starts at ``lam0``
+    The damping parameter multiplies the diagonal of J'J, starts at 1e-3
     and moves by factors of 10; a step is accepted only if it lowers the sum
     of squares, so the residual norm is non-increasing over accepted steps.
+    Converged: gradient below 1e-12 max(1, cost), or an accepted step with
+    relative cost drop < 1e-14 or relative move < 1e-12.  Not converged: 200
+    iterations, or a stall where no damping up to 1e12 lowers the cost.
     ``n_data`` overrides the row count used for the covariance scale when the
     residual vector carries extra constraint rows.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
     cost = float(r @ r)
-    lam = lam0
-    n_iter = 0
+    lam = 1e-3
     converged = False
     message = "max iterations reached"
-    jac = None
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, 201):
         jac = jacobian(x) if jacobian is not None else _fd_jacobian(residual, x, r)
         grad = jac.T @ r
-        if np.max(np.abs(grad)) < gtol * max(1.0, cost):
+        if np.max(np.abs(grad)) < 1e-12 * max(1.0, cost):
             converged, message = True, "gradient below tolerance"
             break
         a = jac.T @ jac
@@ -118,17 +112,15 @@ def levenberg_marquardt(residual, x0, jacobian=None, max_iter=200,
                 x, r, cost = x_new, r_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if rel_drop < ftol or rel_step < xtol:
+                if rel_drop < 1e-14 or rel_step < 1e-12:
                     converged, message = True, "cost change below tolerance"
                 break
             lam *= 10.0
         if not accepted:
-            converged, message = True, "damping exhausted at a local minimum"
+            message = "damping exhausted: no step lowers the cost"
             break
         if converged:
             break
-    if jac is None:
-        jac = jacobian(x) if jacobian is not None else _fd_jacobian(residual, x, r)
     m, n = jac.shape
     if n_data is not None:
         m = n_data
@@ -158,12 +150,11 @@ def _result(names, x, cov, info, derived=None) -> FitResult:
 # peak finding / initialization heuristics
 # ---------------------------------------------------------------------------
 
-def peak_locations(axis: np.ndarray, intensity: np.ndarray, n_peaks: int,
-                   min_separation: float | None = None) -> np.ndarray:
+def peak_locations(axis: np.ndarray, intensity: np.ndarray, n_peaks: int) -> np.ndarray:
     """Locations of the ``n_peaks`` tallest local maxima, parabola-refined.
 
-    Light smoothing suppresses single-sample noise spikes; the returned
-    positions are sorted ascending.
+    Light smoothing suppresses single-sample noise spikes; chosen maxima lie
+    at least span/(8 n_peaks) apart.  The positions are sorted ascending.
     """
     axis = np.asarray(axis, float)
     y = np.asarray(intensity, float)
@@ -171,8 +162,7 @@ def peak_locations(axis: np.ndarray, intensity: np.ndarray, n_peaks: int,
         raise FitError("need at least 5 samples to locate peaks")
     kernel = np.ones(5) / 5.0
     ys = np.convolve(y, kernel, mode="same")
-    if min_separation is None:
-        min_separation = (axis[-1] - axis[0]) / (8.0 * max(n_peaks, 1))
+    min_separation = (axis[-1] - axis[0]) / (8.0 * max(n_peaks, 1))
     interior = np.nonzero((ys[1:-1] >= ys[:-2]) & (ys[1:-1] > ys[2:]))[0] + 1
     order = interior[np.argsort(ys[interior])[::-1]]
     chosen: list[int] = []
@@ -267,7 +257,7 @@ def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
     y = np.asarray(data.intensity, float)
     if x.size < 3 * n_peaks + 1:
         raise FitError("not enough samples for the requested peak count")
-    sigma_g = gaussian_fwhm * _FWHM_TO_SIGMA
+    sigma_g = gaussian_fwhm * FWHM_TO_SIGMA
     if init is None:
         floor = float(np.percentile(y, 5))
         centers = peak_locations(x, y, n_peaks)
@@ -325,17 +315,16 @@ def _branch_wavelengths(dl_nm, g, lambda_x, gamma_x, gamma_m):
 
 
 def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
-                     init: dict | None = None, fit_offset: bool = False,
-                     fit_linewidths: bool = False) -> FitResult:
+                     init: dict | None = None, fit_offset: bool = False) -> FitResult:
     """Fit measured polariton wavelengths versus detuning.
 
     ``dl_nm``/``lambda_nm`` hold one row per measured peak (several peaks may
     share a detuning).  Free parameters: the coupling ``g_GHz`` and the
     exciton wavelength anchor ``lambda_x_nm`` that calibrates the cavity
     position lambda_m = lambda_x - dl.  The linewidths entering the complex
-    splitting are held at their supplied values by default (peak positions
-    barely constrain them, and they are measured independently from the
-    far-detuned spectra); ``fit_linewidths=True`` frees them anyway.
+    splitting are held at ``init["gamma_x_GHz"]`` and ``init["gamma_m_GHz"]``
+    (default 8.5 and 24.1 GHz): peak positions barely constrain them, and
+    they are measured independently from the far-detuned spectra.
     ``fit_offset`` adds a global shift of the detuning axis (off by
     default).  Points are assigned to a branch once, at the initial
     parameters, choosing by wavelength ordering at the largest detuning.
@@ -348,8 +337,8 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
         raise FitError("all points at a single detuning cannot constrain a crossing")
     init = dict(init or {})
     lambda_x0 = init.get("lambda_x_nm", float(np.median(lam)))
-    gamma_x0 = init.get("gamma_x_GHz", 8.5)
-    gamma_m0 = init.get("gamma_m_GHz", 24.1)
+    gx = abs(init.get("gamma_x_GHz", 8.5))
+    gm = abs(init.get("gamma_m_GHz", 24.1))
     if "g_GHz" in init:
         g0 = init["g_GHz"]
     else:
@@ -362,35 +351,24 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
         g0 = 0.5 * min(gaps) if gaps else 10.0
     names = ["g_GHz", "lambda_x_nm"]
     p0 = [g0, lambda_x0]
-    if fit_linewidths:
-        names += ["gamma_x_GHz", "gamma_m_GHz"]
-        p0 += [gamma_x0, gamma_m0]
     if fit_offset:
         names.append("dl_offset_nm")
         p0.append(init.get("dl_offset_nm", 0.0))
     p0 = np.asarray(p0, float)
 
-    def unpack(p):
-        g, lx = p[0], p[1]
-        gx, gm = (p[2], p[3]) if fit_linewidths else (gamma_x0, gamma_m0)
-        shift = p[-1] if fit_offset else 0.0
-        return g, lx, gx, gm, shift
-
-    blue0, red0 = _branch_wavelengths(dl, g0, lambda_x0, gamma_x0, gamma_m0)
+    blue0, red0 = _branch_wavelengths(dl, g0, lambda_x0, gx, gm)
     on_blue = np.abs(lam - blue0) <= np.abs(lam - red0)
     if on_blue.all() or (~on_blue).all():
         raise FitError("data lie entirely on one polariton branch")
 
     def residual(p):
-        g, lx, gx, gm, shift = unpack(p)
-        blue, red = _branch_wavelengths(dl + shift, g, lx, gx, gm)
+        shift = p[-1] if fit_offset else 0.0
+        blue, red = _branch_wavelengths(dl + shift, p[0], p[1], gx, gm)
         return np.where(on_blue, lam - blue, lam - red)
 
     sol, cov, info = levenberg_marquardt(residual, p0)
-    g, lx, gx, gm, shift = unpack(sol)
-    g, gx, gm = abs(g), abs(gx), abs(gm)
-    derived = {"gamma_x_GHz": gx, "gamma_m_GHz": gm,
-               "linewidths_fixed": not fit_linewidths}
+    g, lx = abs(sol[0]), sol[1]
+    derived = {"gamma_x_GHz": gx, "gamma_m_GHz": gm}
     try:
         split_GHz, split_nm = polariton.rabi_splitting(SystemParams(
             lambda_x_nm=lx, lambda_m_nm=lx, g_GHz=g,
@@ -409,17 +387,15 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
 
 def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
                        gamma_m_GHz: float = 24.1, lambda_ref_nm: float = 942.5,
-                       weights: np.ndarray | None = None,
                        init: dict | None = None) -> FitResult:
     """Fit the Lorentzian lifetime-versus-detuning law for g and gamma_b.
 
     The model is 1/(2 pi tau) = gamma_b + gamma_m g^2/(dw^2 + (gamma_m/2)^2);
     the cavity linewidth is held fixed (it is measured independently).  The
     law holds for gamma_x << gamma_m; pass gamma_m + gamma_x as
-    ``gamma_m_GHz`` for lifetimes from a master equation with dephasing.  By
-    default residuals are relative, reflecting a constant fractional error on
-    lifetimes spanning orders of magnitude; pass ``weights`` (1/sigma) to
-    override.
+    ``gamma_m_GHz`` for lifetimes from a master equation with dephasing.
+    Residuals are relative, (model - tau)/tau, reflecting a constant
+    fractional error on lifetimes spanning orders of magnitude.
     """
     dl = np.asarray(dl_nm, float)
     tau = np.asarray(tau_ns, float)
@@ -429,7 +405,7 @@ def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
         raise FitError("all points at the same |detuning| cannot constrain g")
     if np.any(tau <= 0):
         raise FitError("lifetimes must be positive")
-    w = np.asarray(weights, float) if weights is not None else 1.0 / tau
+    w = 1.0 / tau
     dw = detuning_to_frequency(dl, lambda_ref_nm)
     denom = dw**2 + (gamma_m_GHz / 2.0) ** 2
     init = dict(init or {})
@@ -498,7 +474,7 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
         t, counts = np.asarray(h[0], float), np.asarray(h[1], float)
     if t.size < 10:
         raise FitError("need at least 10 bins to fit a decay")
-    sigma = (irf_fwhm_ns or 0.0) * _FWHM_TO_SIGMA
+    sigma = (irf_fwhm_ns or 0.0) * FWHM_TO_SIGMA
     init = dict(init or {})
     # Background: median of the lowest-decile bins, robust to slow decays
     # that never return to baseline inside the window.

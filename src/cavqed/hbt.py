@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import CorrelationTrace
+from .units import philox
 
 __all__ = [
     "Histogram",
@@ -67,21 +68,19 @@ class Histogram:
 class PeakAreaReport:
     """Pulsed-autocorrelation peak areas around multiples of the pulse period."""
 
-    central_area: float
     mean_side_area: float
-    ratio: float
+    ratio: float                  # central area / mean side area
     peak_offsets: np.ndarray      # integer multiples of the period
     peak_areas: np.ndarray
     half_window_ns: float
-    rep_period_ns: float
 
 
 def split_beam(times_ns: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Route each click independently to output A or B with probability 1/2."""
     times = np.asarray(times_ns, dtype=float)
-    # Fixed second key word so the splitter draws never collide with other
+    # Fixed stream word so the splitter draws never collide with other
     # consumers of the same master seed.
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5011771E12], dtype=np.uint64)))
+    rng = philox(seed, 0x5011771E12)
     to_a = rng.random(times.size) < 0.5
     return times[to_a], times[~to_a]
 
@@ -173,14 +172,14 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
 
 def normalize_g2(h: Histogram, duration_ns: float | None = None,
                  rates_per_ns: tuple[float, float] | None = None,
-                 mode: str = "cw", rep_period_ns: float | None = None,
-                 half_window_ns: float | None = None) -> CorrelationTrace:
+                 mode: str = "cw", rep_period_ns: float | None = None) -> CorrelationTrace:
     """Histogram to normalized g2.
 
     CW mode divides by n_starts * r_stop * bin, the uncorrelated coincidence
     level; pass either the acquisition ``duration_ns`` (rates are inferred
     from the recorded totals) or explicit ``rates_per_ns``.  Pulsed mode
-    divides by the mean side-peak level from :func:`pulsed_peak_areas`.
+    divides by the mean side-peak level from :func:`pulsed_peak_areas`, each
+    peak integrated over +-period/4.
     """
     if mode == "cw":
         if rates_per_ns is not None:
@@ -193,14 +192,13 @@ def normalize_g2(h: Histogram, duration_ns: float | None = None,
     elif mode == "pulsed":
         if not rep_period_ns:
             raise ValueError("pulsed normalization needs rep_period_ns")
-        report = pulsed_peak_areas(h, rep_period_ns,
-                                   half_window_ns or rep_period_ns / 4.0)
+        report = pulsed_peak_areas(h, rep_period_ns, rep_period_ns / 4.0)
         denom = report.mean_side_area * h.bin_width_ns / (2.0 * report.half_window_ns)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if denom <= 0:
         raise ValueError("zero normalization: no uncorrelated coincidence level")
-    return CorrelationTrace(h.centers_ns, h.counts / denom, normalization=float(denom),
+    return CorrelationTrace(h.centers_ns, h.counts / denom,
                             meta=dict(h.meta, mode=mode))
 
 
@@ -225,10 +223,9 @@ def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
     mean_side = float(side.mean())
     if mean_side <= 0:
         raise ValueError("no counts in the side peaks; cannot form a ratio")
-    return PeakAreaReport(central_area=central, mean_side_area=mean_side,
-                          ratio=central / mean_side, peak_offsets=offsets,
-                          peak_areas=areas, half_window_ns=half_window_ns,
-                          rep_period_ns=rep_period_ns)
+    return PeakAreaReport(mean_side_area=mean_side, ratio=central / mean_side,
+                          peak_offsets=offsets, peak_areas=areas,
+                          half_window_ns=half_window_ns)
 
 
 def poisson_stream(rate_per_ns: float, duration_ns: float, seed: int,
@@ -236,8 +233,7 @@ def poisson_stream(rate_per_ns: float, duration_ns: float, seed: int,
     """Homogeneous Poisson click times on [0, duration); the uncorrelated reference."""
     if rate_per_ns <= 0 or duration_ns <= 0:
         raise ValueError("rate and duration must be positive")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream_index],
-                                                            dtype=np.uint64)))
+    rng = philox(seed, stream_index)
     n_expected = rate_per_ns * duration_ns
     gaps = rng.exponential(1.0 / rate_per_ns, size=int(n_expected + 6 * math.sqrt(n_expected) + 10))
     times = np.cumsum(gaps)

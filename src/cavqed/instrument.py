@@ -15,10 +15,9 @@ import numpy as np
 
 from .polariton import Spectrum
 from .trajectories import ClickStream
+from .units import FWHM_TO_SIGMA, philox
 
 __all__ = ["InstrumentConfig", "convolve_spectrum", "jitter_and_thin"]
-
-_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def convolve_spectrum(s: Spectrum, cfg: InstrumentConfig) -> Spectrum:
             f"grid step {step:.4g} nm under-resolves the {res_nm:.4g} nm "
             "instrument response; need at least 4 samples per FWHM"
         )
-    sigma = res_nm * _FWHM_TO_SIGMA
+    sigma = res_nm * FWHM_TO_SIGMA
     half = int(math.ceil(5.0 * sigma / step))
     offsets = step * np.arange(-half, half + 1)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
@@ -79,13 +78,13 @@ def jitter_and_thin(clicks: ClickStream, cfg: InstrumentConfig,
     perturbed by Gaussian jitter with the configured APD FWHM and re-sorted.
     Deterministic for a fixed seed.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xA9D], dtype=np.uint64)))
+    rng = philox(seed, 0xA9D)
     n = len(clicks)
     keep = rng.random(n) < cfg.efficiency if cfg.efficiency < 1.0 else np.ones(n, bool)
     times = clicks.times_ns[keep]
     codes = clicks.channel_codes[keep]
     if cfg.apd_irf_ps > 0:
-        sigma_ns = cfg.apd_irf_ps * 1e-3 * _FWHM_TO_SIGMA
+        sigma_ns = cfg.apd_irf_ps * 1e-3 * FWHM_TO_SIGMA
         times = times + rng.normal(0.0, sigma_ns, size=times.size)
         order = np.argsort(times, kind="stable")
         times, codes = times[order], codes[order]

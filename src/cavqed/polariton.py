@@ -252,15 +252,14 @@ def rabi_splitting(p: SystemParams) -> tuple[float, float]:
 
 def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
                       detuning: Detuning | None = None,
-                      amplitude_model: str = "hopfield-weighted",
-                      amplitudes: tuple[float, float] = (1.0, 1.0)) -> Spectrum:
+                      amplitude_model: str = "hopfield-weighted") -> Spectrum:
     """Two-Lorentzian polariton spectrum on an ordinary-frequency grid.
 
     ``amplitude_model`` selects how the two branch amplitudes are set:
-    ``"constant-pair"`` uses the two numbers in ``amplitudes`` (free constants,
-    the right choice when fitting), ``"hopfield-weighted"`` uses the squared
-    photon fraction of each eigenvector (the right default when predicting
-    what a photon detector sees).  Output is normalized to unit peak.
+    ``"constant-pair"`` gives both branches unit amplitude (the bare
+    line shapes), ``"hopfield-weighted"`` uses the squared photon fraction of
+    each eigenvector (the right default when predicting what a photon
+    detector sees).  Output is normalized to unit peak.
     """
     grid = np.asarray(grid_GHz, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -273,7 +272,7 @@ def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
     if amplitude_model == "hopfield-weighted":
         a_plus, a_minus = modes.photon_fraction_plus, modes.photon_fraction_minus
     elif amplitude_model == "constant-pair":
-        a_plus, a_minus = amplitudes
+        a_plus, a_minus = 1.0, 1.0
     else:
         raise ValueError(f"unknown amplitude model {amplitude_model!r}")
     comp_plus = a_plus / ((grid - modes.omega_plus_GHz) ** 2 + modes.hwhm_plus_GHz**2)
@@ -281,7 +280,7 @@ def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
     total = comp_plus + comp_minus
     peak = total.max()
     if peak <= 0:
-        raise ValueError("spectral function vanished on the grid; check amplitudes")
+        raise ValueError("spectral function vanished on the grid")
     return Spectrum(
         grid, total / peak,
         components={"plus": comp_plus / peak, "minus": comp_minus / peak},

@@ -32,7 +32,7 @@ from . import dynamics, hilbert
 from .dynamics import NumericalError
 from .hbt import Histogram
 from .polariton import SystemParams
-from .units import Detuning
+from .units import Detuning, philox
 
 __all__ = [
     "PulseConfig",
@@ -242,11 +242,6 @@ class _Engine:
             u = rng.random()
 
 
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index],
-                                                             dtype=np.uint64)))
-
-
 def run_cw(p: SystemParams, detuning: Detuning | None = None,
            duration_ns: float = 1e5, seed: int = 0,
            discard_ns: float = 0.0) -> ClickStream:
@@ -261,7 +256,7 @@ def run_cw(p: SystemParams, detuning: Detuning | None = None,
     if duration_ns <= 0:
         raise ValueError("duration must be positive")
     engine = _Engine(dynamics.build_model(p, detuning))
-    rng = _rng_for(seed, 0)
+    rng = philox(seed, 0)
     times: list[float] = []
     codes: list[int] = []
     engine.advance(rng, engine.ground, rng.random(), 0.0, duration_ns, times, codes)
@@ -290,7 +285,7 @@ def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
                 else space.sigma_f).conj().T
     blocked = np.eye(space.dim) - raise_op.conj().T @ raise_op
     capture = engine.sandwich(raise_op) + engine.sandwich(blocked)
-    rng = _rng_for(seed, 0)
+    rng = philox(seed, 0)
     period = pulses.rep_period_ns
     total = pulses.duration_ns
     # Draw the full capture schedule up front so the event loop stays simple.
@@ -344,7 +339,7 @@ def ensemble_populations(p: SystemParams, detuning: Detuning | None,
         raise ValueError("time grid must be non-empty, non-negative and non-decreasing")
     samples = np.empty((n_trajectories, t_grid.size))
     for i in range(n_trajectories):
-        rng = _rng_for(seed, i)
+        rng = philox(seed, i)
         x, u, t = engine.ground, rng.random(), 0.0
         for j, t_next in enumerate(t_grid):
             x, u = engine.advance(rng, x, u, t, t_next, [], [])

@@ -16,9 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SPEED_OF_LIGHT_NM_GHZ",
     "PLANCK_UEV_PER_GHZ",
+    "FWHM_TO_SIGMA",
     "Detuning",
     "energy_to_frequency",
     "frequency_to_energy",
@@ -28,12 +31,20 @@ __all__ = [
     "frequency_to_detuning",
     "q_factor",
     "lifetime_from_fwhm",
+    "philox",
 ]
 
 # c in nm*GHz (= nm/ns); CODATA exact.
 SPEED_OF_LIGHT_NM_GHZ = 2.99792458e8
 # h in micro-eV per GHz; CODATA exact (6.62607015e-34 J*s / e).
 PLANCK_UEV_PER_GHZ = 4.135667696
+# Gaussian standard deviation per unit FWHM, 1/(2 sqrt(2 ln 2)).
+FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based random stream keyed by (seed, stream); each consumer owns a stream word."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def energy_to_frequency(e_ueV: float) -> float:

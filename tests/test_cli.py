@@ -312,3 +312,132 @@ def test_decay_fit_command(tmp_path):
     _, cols = read_csv(out)
     vals = dict(zip(cols["param"], cols["value"]))
     assert vals["tau_ns"] == pytest.approx(7.6, rel=0.05)
+
+
+@pytest.mark.parametrize("config", [{"seed": "abc"}, {"seed": -1}, {"seeed": 3},
+                                    {"output_dir": "."}],
+                         ids=["non-integer-seed", "negative-seed", "unknown-key",
+                              "removed-output-dir"])
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_bad_top_level_config_exits_2(tmp_path, capsys, config, source):
+    (key, value), = config.items()
+    if source == "set":
+        args = ["--set", f"{key}={value}"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = ["--config", tmp_path / "cfg.json"]
+    assert run(["spectrum", *args, "--out", tmp_path / "s.csv"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("text, extra", [
+    ("[]", []), ('"abc"', []), ("5", []), ("[]", ["--seed", "3"]),
+    ('{"system": 5}', ["--set", "system.g_GHz=1"]),
+], ids=["list", "string", "number", "list-with-seed", "override-into-non-section"])
+def test_non_object_config_exits_2(tmp_path, capsys, text, extra):
+    (tmp_path / "cfg.json").write_text(text)
+    args = ["spectrum", "--config", tmp_path / "cfg.json", *extra, "--out", tmp_path / "s.csv"]
+    assert run(args) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+PULSED_G2 = ["g2", "--kind", "auto", "--method", "trajectories", "--pulsed",
+             "--detuning-nm", "0", "--seed", "5", "--set", "system.pump_GHz=0",
+             "--set", "pulses.n_pulses=3000"]
+ANTICROSS = ["anticross", "--dl-start", "-0.35", "--dl-end", "0.35", "--steps", "5"]
+
+
+def _fit(tmp_path, data, *flags):
+    """Run ``cavqed fit`` on ``data``; its metadata and fitted parameters."""
+    out = tmp_path / "fit.csv"
+    assert run(["fit", "--data", data, *flags, "--out", out]) == 0
+    meta, cols = read_csv(out)
+    return meta, dict(zip(cols["param"], cols["value"]))
+
+
+def _doublet(tmp_path):
+    data = tmp_path / "doublet.csv"
+    assert run(["spectrum", "--detuning-nm", "0", "--out", data]) == 0
+    return data
+
+
+def _decay(tmp_path, taus):
+    """Poisson counts of 2000 e^{-t/tau_1} + 1000 e^{-t/tau_2} + ... + 5 per 0.1 ns bin."""
+    t = np.arange(0.05, 40.0, 0.1)
+    mu = 5.0 + sum(2000.0 / (k + 1) * np.exp(-t / tau) for k, tau in enumerate(taus))
+    data = tmp_path / "decay.csv"
+    write_csv(data, {"tau_ns": t, "counts": np.random.default_rng(4).poisson(mu)},
+              {"kind": "decay"})
+    return data
+
+
+def _fit_offset(tmp_path):
+    data = tmp_path / "anti.csv"
+    assert run([*ANTICROSS, "--out", data]) == 0
+    _, params = _fit(tmp_path, data, "--model", "anticross", "--fit-offset")
+    assert abs(params["dl_offset_nm"]) < 0.01
+    assert params["g_GHz"] == pytest.approx(18.4, rel=0.02)
+
+
+def _estimator_start_stop(tmp_path):
+    assert run([*PULSED_G2, "--estimator", "start-stop", "--out-prefix", tmp_path / "p"]) == 0
+    meta, _ = read_csv(str(tmp_path / "p_histogram.csv"))
+    assert meta["estimator"] == "start-stop"
+
+
+def _instrument(tmp_path):
+    clicks = []
+    for name, flags in (("ideal", []),
+                        ("seen", ["--instrument", "--set", "instrument.efficiency=0.5"])):
+        assert run([*PULSED_G2, *flags, "--out-prefix", tmp_path / name]) == 0
+        clicks.append(read_csv(str(tmp_path / f"{name}_clicks.csv"))[1]["time_ns"].size)
+    assert 0.45 < clicks[1] / clicks[0] < 0.55
+
+
+def _no_instrument(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", "--detuning-nm", "0", "--no-instrument", "--out", out]) == 0
+    assert read_csv(out)[0]["instrument"] == "off"
+
+
+def _points(tmp_path):
+    blue = []
+    for name, flags in (("fine", []), ("coarse", ["--points", "201"])):
+        assert run([*ANTICROSS, *flags, "--out", tmp_path / f"{name}.csv"]) == 0
+        blue.append(read_csv(tmp_path / f"{name}.csv")[1]["lambda_blue_nm"])
+    assert not np.array_equal(blue[0], blue[1])
+    assert blue[1] == pytest.approx(blue[0], abs=0.01)
+
+
+def _n_peaks(tmp_path):
+    _, params = _fit(tmp_path, _doublet(tmp_path), "--model", "lorentz", "--n-peaks", "2")
+    assert "center_2" in params and "center_3" not in params
+    assert params["center_2"] - params["center_1"] == pytest.approx(0.107, abs=0.004)
+
+
+def _gaussian_fwhm_nm(tmp_path):
+    meta, _ = _fit(tmp_path, _doublet(tmp_path), "--model", "lorentz", "--n-peaks", "2",
+                   "--gaussian-fwhm-nm", "0.021")
+    assert meta["derived_gaussian_fwhm"] == "0.021"
+
+
+def _irf_ps(tmp_path):
+    # With a response model the onset t0 is fitted; without one it is pinned.
+    _, params = _fit(tmp_path, _decay(tmp_path, [1.5]), "--model", "decay", "--irf-ps", "70")
+    assert "t0_ns" in params
+    assert params["tau_ns"] == pytest.approx(1.5, rel=0.05)
+
+
+def _bi(tmp_path):
+    _, params = _fit(tmp_path, _decay(tmp_path, [1.5, 8.0]), "--model", "decay", "--bi")
+    taus = sorted([params["tau1_ns"], params["tau2_ns"]])
+    assert taus == pytest.approx([1.5, 8.0], rel=0.1)
+
+
+@pytest.mark.parametrize("case", [_fit_offset, _estimator_start_stop, _instrument,
+                                  _no_instrument, _points, _n_peaks, _gaussian_fwhm_nm,
+                                  _irf_ps, _bi], ids=lambda case: case.__name__[1:])
+def test_cli_flag_has_its_effect(tmp_path, case):
+    case(tmp_path)

@@ -16,7 +16,7 @@ from cavqed.fitkit import (
     peak_locations,
 )
 from cavqed.polariton import Spectrum, SystemParams, eigenmodes, purcell_lifetime
-from cavqed.units import Detuning, wavelength_to_frequency
+from cavqed.units import FWHM_TO_SIGMA, Detuning, wavelength_to_frequency
 
 
 def lorentz(x, c, w, a):
@@ -54,6 +54,25 @@ class TestEngine:
             x0 = truth * (1 + 0.2 * sign)
             x, _, info = levenberg_marquardt(residual, x0)
             assert np.abs(x / truth - 1).max() < 1e-6
+
+    def test_stall_is_not_reported_as_converged(self):
+        # A negated Jacobian makes every damped step climb, so no step is ever
+        # accepted: the fit stalls at x0, far from the truth (2, 0.3).
+        t = np.linspace(0.0, 2.0, 41)
+        target = 2.0 * np.exp(-t / 0.3)
+
+        def residual(p):
+            return p[0] * np.exp(-t / p[1]) - target
+
+        def negated_jacobian(p):
+            e = np.exp(-t / p[1])
+            return -np.column_stack([e, p[0] * t * e / p[1] ** 2])
+
+        x0 = np.array([1.0, 0.5])
+        x, _, info = levenberg_marquardt(residual, x0, jacobian=negated_jacobian)
+        assert np.array_equal(x, x0)
+        assert not info["converged"]
+        assert "minimum" not in info["message"]
 
 
 class TestLorentzians:
@@ -95,7 +114,7 @@ class TestLorentzians:
     def test_analytic_jacobian_matches_central_differences(self, gaussian_fwhm):
         x = np.linspace(-10.0, 10.0, 801)
         p = np.array([0.1, -3.0, 1.2, 2.0, 0.5, -0.8, 1.0, 4.0, 2.0, 0.7])
-        sigma_g = gaussian_fwhm * fitkit._FWHM_TO_SIGMA
+        sigma_g = gaussian_fwhm * FWHM_TO_SIGMA
 
         def residual(q):
             return q[0] + sum(fitkit._line_profile(x, *q[1 + 3 * k: 4 + 3 * k], sigma_g)

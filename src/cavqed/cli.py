@@ -147,7 +147,7 @@ def _wavelength_grid_spectrum(spec: Spectrum, step_nm: float) -> Spectrum:
     lam = np.arange(sw.axis[0], sw.axis[-1], step_nm)
     comps = {k: np.interp(lam, sw.axis, v) for k, v in sw.components.items()}
     return Spectrum(lam, np.interp(lam, sw.axis, sw.intensity),
-                    "wavelength_nm", comps, dict(sw.meta))
+                    "wavelength_nm", comps)
 
 
 # ---------------------------------------------------------------------------
@@ -339,47 +339,43 @@ def cmd_g2(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
+# The columns each model reads: the layouts that `cavqed spectrum`,
+# `anticross`, `lifetime` and `g2 --method trajectories` (histogram) write.
+_FIT_COLUMNS = {
+    "lorentz": ("wavelength_nm", "intensity"),
+    "anticross": ("dl_nm", "lambda_blue_nm", "lambda_red_nm"),
+    "lifetime": ("dl_nm", "tau_ns"),
+    "decay": ("tau_ns", "counts"),
+}
+
+
 def _fit_from_csv(args, cfg: RunConfig) -> fitkit.FitResult:
     try:
-        meta, cols = read_csv(args.data)
+        _, cols = read_csv(args.data)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read --data: {exc}") from exc
+    need = _FIT_COLUMNS[args.model]
+    if not all(c in cols for c in need):
+        raise ConfigError(f"{args.model} fit needs the columns {','.join(need)}")
     if args.model == "lorentz":
-        if "wavelength_nm" in cols:
-            spec = Spectrum(cols["wavelength_nm"], cols["intensity"], "wavelength_nm")
-        elif "frequency_GHz" in cols:
-            spec = Spectrum(cols["frequency_GHz"], cols["intensity"], "frequency_GHz")
-        else:
-            raise ConfigError("lorentz fit needs wavelength_nm/frequency_GHz + intensity")
+        spec = Spectrum(cols["wavelength_nm"], cols["intensity"], "wavelength_nm")
         return fitkit.fit_lorentzians(spec, args.n_peaks,
                                       gaussian_fwhm=args.gaussian_fwhm_nm)
     if args.model == "anticross":
-        if "lambda_blue_nm" in cols:
-            dl = np.concatenate([cols["dl_nm"], cols["dl_nm"]])
-            lam = np.concatenate([cols["lambda_blue_nm"], cols["lambda_red_nm"]])
-        elif "lambda_nm" in cols:
-            dl, lam = cols["dl_nm"], cols["lambda_nm"]
-        else:
-            raise ConfigError("anticross fit needs dl_nm with lambda_blue_nm/"
-                              "lambda_red_nm or lambda_nm columns")
+        dl = np.concatenate([cols["dl_nm"], cols["dl_nm"]])
+        lam = np.concatenate([cols["lambda_blue_nm"], cols["lambda_red_nm"]])
         init = {"gamma_x_GHz": cfg.system.gamma_x_GHz,
                 "gamma_m_GHz": cfg.system.gamma_m_GHz}
         return fitkit.fit_anticrossing(dl, lam, init=init,
                                        fit_offset=args.fit_offset)
     if args.model == "lifetime":
-        if "dl_nm" not in cols or "tau_ns" not in cols:
-            raise ConfigError("lifetime fit needs dl_nm and tau_ns columns")
+        # `cavqed lifetime` holds the exciton fixed, so dl converts at lambda_x.
         return fitkit.fit_lifetime_curve(cols["dl_nm"], cols["tau_ns"],
                                          gamma_m_GHz=cfg.system.gamma_m_GHz,
-                                         lambda_ref_nm=cfg.system.lambda_m_nm)
-    if args.model == "decay":
-        tcol = "tau_ns" if "tau_ns" in cols else "time_ns"
-        if tcol not in cols or "counts" not in cols:
-            raise ConfigError("decay fit needs tau_ns/time_ns and counts columns")
-        irf = args.irf_ps * 1e-3 if args.irf_ps else None
-        return fitkit.fit_decay((cols[tcol], cols["counts"]),
-                                "bi" if args.bi else "mono", irf_fwhm_ns=irf)
-    raise ConfigError(f"unknown fit model {args.model}")
+                                         lambda_ref_nm=cfg.system.lambda_x_nm)
+    irf = args.irf_ps * 1e-3 if args.irf_ps else None
+    return fitkit.fit_decay((cols["tau_ns"], cols["counts"]),
+                            "bi" if args.bi else "mono", irf_fwhm_ns=irf)
 
 
 def cmd_fit(args) -> int:
@@ -474,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="fit a model to an emitted CSV file")
     common(sp)
-    sp.add_argument("--model", choices=["lorentz", "anticross", "lifetime", "decay"],
-                    required=True)
+    sp.add_argument("--model", choices=list(_FIT_COLUMNS), required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--n-peaks", type=int, default=3)
     sp.add_argument("--gaussian-fwhm-nm", type=float, default=0.0,

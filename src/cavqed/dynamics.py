@@ -73,7 +73,6 @@ class CorrelationTrace:
 
     tau_ns: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.tau_ns = np.asarray(self.tau_ns, dtype=float)
@@ -358,8 +357,7 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None,
             f"narrowest line ({narrowest:.3g} GHz FWHM); refine below half of it"
         )
     rho_ss = model.steady
-    omega_m = p.omega_m_GHz
-    z = 2j * math.pi * (grid - omega_m)
+    z = 2j * math.pi * (grid - p.omega_m_GHz)
     total = np.zeros(grid.size)
     parts = {}
     for label, op, weight in _sources(model, source):
@@ -379,8 +377,6 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None,
     return Spectrum(
         grid, total / peak,
         components={k: v / peak for k, v in parts.items()},
-        meta={"frame": "rotating@omega_m", "omega_m_GHz": omega_m,
-              "detuning_nm": detuning.dl_nm, "source": source},
     )
 
 
@@ -419,8 +415,7 @@ def g2_auto(p: SystemParams, detuning: Detuning | None,
         raise NumericalError(f"zero emission from source {label!r}: cannot normalize g2")
     x0 = op @ rho @ op.conj().T
     raw = _propagate_probe(model, x0, n_op, tau)
-    return CorrelationTrace(tau, raw / n_mean**2,
-                            meta={"kind": "auto", "source": label})
+    return CorrelationTrace(tau, raw / n_mean**2)
 
 
 def g2_cross(p: SystemParams, detuning: Detuning | None,
@@ -454,5 +449,4 @@ def g2_cross(p: SystemParams, detuning: Detuning | None,
     else:
         full_tau = np.concatenate([-tau[::-1], tau])
         values = np.concatenate([neg[::-1], pos])
-    return CorrelationTrace(full_tau, values,
-                            meta={"kind": "cross", "positive_side": "exciton_then_cavity"})
+    return CorrelationTrace(full_tau, values)

@@ -14,7 +14,7 @@ is bounded independently of the pair count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class Histogram:
     counts: np.ndarray
     n_starts: int
     n_stops: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.bin_edges_ns = np.asarray(self.bin_edges_ns, dtype=float)
@@ -165,30 +164,23 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
                   + np.histogram(-neg, bins=edges)[0])
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    return Histogram(edges, counts, n_starts=starts.size, n_stops=stops.size,
-                     meta={"estimator": estimator, "bin_ns": bin_ns,
-                           "window_ns": window_ns})
+    return Histogram(edges, counts, n_starts=starts.size, n_stops=stops.size)
 
 
 def normalize_g2(h: Histogram, duration_ns: float | None = None,
-                 rates_per_ns: tuple[float, float] | None = None,
                  mode: str = "cw", rep_period_ns: float | None = None) -> CorrelationTrace:
     """Histogram to normalized g2.
 
     CW mode divides by n_starts * r_stop * bin, the uncorrelated coincidence
-    level; pass either the acquisition ``duration_ns`` (rates are inferred
-    from the recorded totals) or explicit ``rates_per_ns``.  Pulsed mode
+    level, with the stop rate r_stop = n_stops / ``duration_ns`` inferred
+    from the recorded totals over the acquisition time.  Pulsed mode
     divides by the mean side-peak level from :func:`pulsed_peak_areas`, each
     peak integrated over +-period/4.
     """
     if mode == "cw":
-        if rates_per_ns is not None:
-            r_stop = rates_per_ns[1]
-        elif duration_ns:
-            r_stop = h.n_stops / duration_ns
-        else:
-            raise ValueError("cw normalization needs duration_ns or rates_per_ns")
-        denom = h.n_starts * r_stop * h.bin_width_ns
+        if not duration_ns:
+            raise ValueError("cw normalization needs duration_ns")
+        denom = h.n_starts * (h.n_stops / duration_ns) * h.bin_width_ns
     elif mode == "pulsed":
         if not rep_period_ns:
             raise ValueError("pulsed normalization needs rep_period_ns")
@@ -198,8 +190,7 @@ def normalize_g2(h: Histogram, duration_ns: float | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     if denom <= 0:
         raise ValueError("zero normalization: no uncorrelated coincidence level")
-    return CorrelationTrace(h.centers_ns, h.counts / denom,
-                            meta=dict(h.meta, mode=mode))
+    return CorrelationTrace(h.centers_ns, h.counts / denom)
 
 
 def pulsed_peak_areas(h: Histogram, rep_period_ns: float,

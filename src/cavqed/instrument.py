@@ -66,8 +66,7 @@ def convolve_spectrum(s: Spectrum, cfg: InstrumentConfig) -> Spectrum:
 
     out = blur(spec.intensity)
     comps = {k: blur(v) for k, v in spec.components.items()}
-    meta = dict(spec.meta, spectral_resolution_pm=cfg.spectral_resolution_pm)
-    return Spectrum(spec.axis.copy(), out, "wavelength_nm", comps, meta)
+    return Spectrum(spec.axis.copy(), out, "wavelength_nm", comps)
 
 
 def jitter_and_thin(clicks: ClickStream, cfg: InstrumentConfig,
@@ -88,5 +87,4 @@ def jitter_and_thin(clicks: ClickStream, cfg: InstrumentConfig,
         times = times + rng.normal(0.0, sigma_ns, size=times.size)
         order = np.argsort(times, kind="stable")
         times, codes = times[order], codes[order]
-    meta = dict(clicks.meta, efficiency=cfg.efficiency, apd_irf_ps=cfg.apd_irf_ps)
-    return ClickStream(times, codes, clicks.labels, clicks.duration_ns, meta)
+    return ClickStream(times, codes, clicks.labels, clicks.duration_ns)

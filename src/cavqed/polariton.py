@@ -35,7 +35,6 @@ __all__ = [
     "WeakCouplingError",
     "eigenmodes",
     "rabi_splitting",
-    "is_strong_coupling",
     "spectral_function",
     "purcell_lifetime",
 ]
@@ -119,10 +118,6 @@ class PolaritonPair:
     def splitting_GHz(self) -> float:
         return self.omega_plus_GHz - self.omega_minus_GHz
 
-    @property
-    def hwhm_sum_GHz(self) -> float:
-        return self.hwhm_plus_GHz + self.hwhm_minus_GHz
-
 
 @dataclass
 class Spectrum:
@@ -132,7 +127,6 @@ class Spectrum:
     intensity: np.ndarray
     kind: str = "frequency_GHz"
     components: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float)
@@ -155,8 +149,7 @@ class Spectrum:
             return self
         lam = (wavelength_to_frequency(1.0) / self.axis)[::-1]
         comps = {k: v[::-1].copy() for k, v in self.components.items()}
-        return Spectrum(lam, self.intensity[::-1].copy(), "wavelength_nm",
-                        comps, dict(self.meta))
+        return Spectrum(lam, self.intensity[::-1].copy(), "wavelength_nm", comps)
 
 
 @dataclass(frozen=True)
@@ -228,11 +221,6 @@ def eigenmodes(p: SystemParams, detuning: Detuning | None = None) -> PolaritonPa
     )
 
 
-def is_strong_coupling(p: SystemParams) -> bool:
-    """True when g**2 exceeds (gamma_x - gamma_m)**2 / 16 (strict)."""
-    return p.g_GHz**2 > (p.gamma_x_GHz - p.gamma_m_GHz) ** 2 / 16.0
-
-
 def rabi_splitting(p: SystemParams) -> tuple[float, float]:
     """Minimum polariton splitting, returned in GHz and in nm at lambda_m.
 
@@ -284,7 +272,6 @@ def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
     return Spectrum(
         grid, total / peak,
         components={"plus": comp_plus / peak, "minus": comp_minus / peak},
-        meta={"amplitude_model": amplitude_model, "detuning_nm": detuning.dl_nm},
     )
 
 

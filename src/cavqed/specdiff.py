@@ -102,10 +102,7 @@ def averaged_spectrum(p: SystemParams, detuning: Detuning | None,
     res = f * _unit_area(s_res)
     det = (1.0 - f) * _unit_area(s_det)
     return Spectrum(grid, res + det,
-                    components={"resonant": res, "detuned": det},
-                    meta={"resonant_fraction": f, "mode": mode,
-                          "detuning_nm": detuning.dl_nm,
-                          "charged_detuning_GHz": shifted.dw_GHz})
+                    components={"resonant": res, "detuned": det})
 
 
 def fit_triplet(s: Spectrum, gaussian_fwhm: float = 0.0) -> fitkit.FitResult:

@@ -24,7 +24,7 @@ trajectories of an ensemble are independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class ClickStream:
     channel_codes: np.ndarray
     labels: tuple
     duration_ns: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times_ns = np.asarray(self.times_ns, dtype=float)
@@ -262,9 +261,7 @@ def run_cw(p: SystemParams, detuning: Detuning | None = None,
     engine.advance(rng, engine.ground, rng.random(), 0.0, duration_ns, times, codes)
     times, codes = np.asarray(times), np.asarray(codes, dtype=np.int16)
     keep = times >= discard_ns
-    return ClickStream(times[keep], codes[keep], DETECTED, duration_ns,
-                       meta={"mode": "cw", "seed": seed,
-                             "detuning_nm": engine.model.detuning.dl_nm})
+    return ClickStream(times[keep], codes[keep], DETECTED, duration_ns)
 
 
 def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
@@ -310,11 +307,7 @@ def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
         t = t_cap
     engine.advance(rng, x, u, t, total, times, codes)
     return ClickStream(np.asarray(times), np.asarray(codes, dtype=np.int16),
-                       DETECTED, total,
-                       meta={"mode": "pulsed", "seed": seed,
-                             "rep_period_ns": period,
-                             "mu": pulses.mean_captures_per_pulse,
-                             "detuning_nm": engine.model.detuning.dl_nm})
+                       DETECTED, total)
 
 
 def ensemble_populations(p: SystemParams, detuning: Detuning | None,
@@ -360,6 +353,4 @@ def lifetime_from_clicks(clicks: ClickStream, channel: str,
     n_bins = int(round(rep_period_ns / bin_ns))
     edges = np.linspace(0.0, rep_period_ns, n_bins + 1)
     counts, _ = np.histogram(folded, bins=edges)
-    return Histogram(edges, counts, n_starts=times.size, n_stops=times.size,
-                     meta={"channel": channel, "rep_period_ns": rep_period_ns,
-                           "kind": "decay"})
+    return Histogram(edges, counts, n_starts=times.size, n_stops=times.size)

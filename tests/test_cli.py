@@ -104,6 +104,21 @@ def test_fit_unreadable_data_is_config_error(tmp_path, capsys):
         assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, columns", [
+    ("lorentz", {"frequency_GHz": [1.0, 2.0, 3.0], "intensity": [0.0, 1.0, 0.0]}),
+    ("anticross", {"dl_nm": [-0.1, 0.0, 0.1], "lambda_nm": [942.4, 942.5, 942.6]}),
+    ("decay", {"time_ns": [0.0, 0.1, 0.2], "counts": [9, 5, 3]}),
+], ids=["lorentz-frequency", "anticross-single-branch", "decay-time"])
+def test_fit_layout_no_command_writes_exits_2(tmp_path, capsys, model, columns):
+    data = tmp_path / "data.csv"
+    write_csv(data, {k: np.array(v) for k, v in columns.items()}, {})
+    assert run(["fit", "--model", model, "--data", data,
+                "--out", tmp_path / "fit.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and f"{model} fit needs the columns" in err
+    assert not (tmp_path / "fit.csv").exists()
+
+
 def test_anticross_fit_round_trip(tmp_path):
     sweep = tmp_path / "anti.csv"
     fit_out = tmp_path / "anti_fit.csv"
@@ -116,15 +131,18 @@ def test_anticross_fit_round_trip(tmp_path):
     assert g == pytest.approx(18.4, rel=0.02)
 
 
-def test_lifetime_sweep_monotone_and_fit(tmp_path):
+@pytest.mark.parametrize("lambda_x_nm", [942.5, 946.6])
+def test_lifetime_sweep_monotone_and_fit(tmp_path, lambda_x_nm):
+    # The sweep holds the exciton at lambda_x; the fit must convert dl there too.
+    system = ["--set", "system.g_GHz=20.7", "--set", f"system.lambda_x_nm={lambda_x_nm}"]
     sweep = tmp_path / "tau.csv"
     fit_out = tmp_path / "tau_fit.csv"
     assert run(["lifetime", "--dl-start", "0.3", "--dl-end", "4.1", "--steps", "7",
-                "--set", "system.g_GHz=20.7", "--out", sweep]) == 0
+                *system, "--out", sweep]) == 0
     _, cols = read_csv(sweep)
     assert np.all(np.diff(cols["tau_ns"]) > 0)
     assert run(["fit", "--model", "lifetime", "--data", sweep,
-                "--set", "system.g_GHz=20.7", "--out", fit_out]) == 0
+                *system, "--out", fit_out]) == 0
     _, fcols = read_csv(fit_out)
     vals = dict(zip(fcols["param"], fcols["value"]))
     assert vals["g_GHz"] == pytest.approx(20.7, rel=1e-3)

@@ -165,12 +165,6 @@ class TestNormalizeG2:
         g2 = normalize_g2(h, duration_ns=duration)
         assert g2.values.mean() == pytest.approx(1.0, abs=0.01)
 
-    def test_explicit_rates(self):
-        h = Histogram(np.array([-1.0, 0.0, 1.0]), np.array([100, 100]),
-                      n_starts=1000, n_stops=1000)
-        g2 = normalize_g2(h, rates_per_ns=(0.1, 0.1))
-        assert g2.values == pytest.approx([1.0, 1.0])
-
     def test_zero_normalization_rejected(self):
         h = Histogram(np.array([-1.0, 0.0, 1.0]), np.array([0, 0]),
                       n_starts=10, n_stops=10)

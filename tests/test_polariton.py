@@ -9,7 +9,6 @@ from cavqed.polariton import (
     SystemParams,
     WeakCouplingError,
     eigenmodes,
-    is_strong_coupling,
     purcell_lifetime,
     rabi_splitting,
     spectral_function,
@@ -63,7 +62,7 @@ def test_far_detuned_asymptote():
 def test_halfwidth_sum_rule(g, gx, gm, dw):
     p = SystemParams(g_GHz=g, gamma_x_GHz=gx, gamma_m_GHz=gm, gamma_b_GHz=0.0)
     m = eigenmodes(p, Detuning.from_GHz(dw, 942.5))
-    assert m.hwhm_sum_GHz == pytest.approx((gx + gm) / 2.0, rel=1e-12)
+    assert m.hwhm_plus_GHz + m.hwhm_minus_GHz == pytest.approx((gx + gm) / 2.0, rel=1e-12)
     assert m.omega_plus_GHz >= m.omega_minus_GHz
 
 
@@ -108,13 +107,16 @@ def test_rabi_splitting_weak_coupling_error():
         rabi_splitting(p)
 
 
-def test_is_strong_coupling():
-    assert is_strong_coupling(SystemParams(g_GHz=20.7, gamma_x_GHz=8.5,
+def test_rabi_splitting_strong_and_weak_cases():
+    split, _ = rabi_splitting(SystemParams(g_GHz=20.7, gamma_x_GHz=8.5,
                                            gamma_m_GHz=24.1, gamma_b_GHz=0.015))
-    assert not is_strong_coupling(SystemParams(g_GHz=3.0, gamma_x_GHz=8.5,
-                                               gamma_m_GHz=24.1, gamma_b_GHz=0.015))
-    assert not is_strong_coupling(SystemParams(g_GHz=0.0, gamma_x_GHz=8.5,
-                                               gamma_m_GHz=8.5, gamma_b_GHz=0.0))
+    assert split > 0
+    for weak in (SystemParams(g_GHz=3.0, gamma_x_GHz=8.5, gamma_m_GHz=24.1,
+                              gamma_b_GHz=0.015),
+                 SystemParams(g_GHz=0.0, gamma_x_GHz=8.5, gamma_m_GHz=8.5,
+                              gamma_b_GHz=0.0)):
+        with pytest.raises(WeakCouplingError):
+            rabi_splitting(weak)
 
 
 class TestSpectralFunction:

@@ -115,7 +115,5 @@ def test_config_validation():
 
 
 def test_default_shift_is_minus_twenty_g():
-    cfg = TelegraphConfig(resonant_fraction=0.55)
-    grid = _grid(PARAMS, pad=420.0, step=0.4)
-    s = averaged_spectrum(PARAMS, RES, cfg, grid, mode="fast")
-    assert s.meta["charged_detuning_GHz"] == pytest.approx(20 * 18.4)
+    shifted = specdiff._shifted_detuning(PARAMS, RES, TelegraphConfig())
+    assert shifted.dw_GHz == pytest.approx(20 * 18.4)

@@ -1,14 +1,17 @@
-"""Run every command of the README "Command line" block; exit 1 if any fails.
+"""Run every command of the README "Command line" block and its "Library
+example"; exit 1 if any fails.
 
 Each ``cavqed ...`` line (backslash continuations joined) runs as
 ``python -m cavqed.cli ...`` in one working directory, in README order, so a
-recipe can read the files an earlier one wrote.
+recipe can read the files an earlier one wrote.  The library example then
+runs as one ``python -c`` script in the same directory.
 
     python scripts/readme_recipes.py
 
 The files go to a temporary directory removed afterwards.  The package is
-imported from this checkout's ``src``.  Finding no command is a failure too,
-so a change to the block's format cannot turn the check into a no-op.
+imported from this checkout's ``src``.  Finding no command, or no library
+example, is a failure too, so a change to the README's format cannot turn
+the check into a no-op.
 """
 
 from __future__ import annotations
@@ -31,7 +34,14 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("cavqed ")]
 
 
-def run_all(commands: list[list[str]], workdir: Path) -> int:
+def library_example() -> str:
+    """Source of the Python block under the README "Library example" heading."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```", 2)[1]
+    return block.removeprefix("python").strip()
+
+
+def run_all(commands: list[list[str]], example: str, workdir: Path) -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     failed = 0
@@ -40,19 +50,22 @@ def run_all(commands: list[list[str]], workdir: Path) -> int:
                               cwd=workdir, env=env).returncode
         print(f"exit {code}: cavqed {shlex.join(args)}", flush=True)
         failed += code != 0
-    return failed
+    code = subprocess.run([sys.executable, "-c", example],
+                          cwd=workdir, env=env).returncode
+    print(f"exit {code}: README library example", flush=True)
+    return failed + (code != 0)
 
 
 def main() -> int:
-    commands = readme_commands()
-    if not commands:
-        print("no cavqed command found in the README command-line block",
-              file=sys.stderr)
+    commands, example = readme_commands(), library_example()
+    if not commands or not example:
+        print("no cavqed command in the README command-line block, or no "
+              "README library example", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        failed = run_all(commands, Path(tmp))
+        failed = run_all(commands, example, Path(tmp))
     if failed:
-        print(f"{failed} README command(s) failed", file=sys.stderr)
+        print(f"{failed} README recipe(s) failed", file=sys.stderr)
     return 1 if failed else 0
 
 

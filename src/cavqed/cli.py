@@ -274,6 +274,9 @@ def _write_clicks(path, clicks: trajectories.ClickStream, meta: dict) -> None:
 
 
 def cmd_g2(args) -> int:
+    if not (args.bin_ns > 0 and args.window_ns > args.bin_ns and args.duration_ns > 0):
+        raise ConfigError("g2 needs --bin-ns > 0, --window-ns > --bin-ns "
+                          "and --duration-ns > 0")
     cfg = load_config(args)
     det = _detuning(cfg, args.detuning_nm)
     p = cfg.system.with_detuning(det)
@@ -293,10 +296,8 @@ def cmd_g2(args) -> int:
     seed = _require_seed(cfg)
     if args.pulsed:
         clicks = trajectories.run_pulsed(p, det, cfg.pulses, seed=seed)
-        duration = clicks.duration_ns
     else:
         clicks = trajectories.run_cw(p, det, args.duration_ns, seed)
-        duration = args.duration_ns
     if args.instrument:
         clicks = instrument.jitter_and_thin(clicks, cfg.instrument, seed=seed + 1)
     _write_clicks(args.out_prefix + "_clicks.csv", clicks,
@@ -314,8 +315,8 @@ def cmd_g2(args) -> int:
                                     estimator=args.estimator)
     if args.pulsed:
         period = cfg.pulses.rep_period_ns
-        trace = hbt.normalize_g2(hist, mode="pulsed", rep_period_ns=period)
         report = hbt.pulsed_peak_areas(hist, period, period / 4.0)
+        g2 = report.g2
         write_csv(args.out_prefix + "_peaks.csv",
                   {"peak_index": report.peak_offsets,
                    "offset_ns": report.peak_offsets * period,
@@ -324,10 +325,9 @@ def cmd_g2(args) -> int:
                         central_ratio=report.ratio,
                         half_window_ns=report.half_window_ns))
     else:
-        trace = hbt.normalize_g2(hist, duration_ns=duration, mode="cw")
+        g2 = hbt.normalize_g2(hist, args.duration_ns).values
     write_csv(args.out_prefix + "_histogram.csv",
-              {"tau_ns": hist.centers_ns, "counts": hist.counts,
-               "g2": trace.values},
+              {"tau_ns": hist.centers_ns, "counts": hist.counts, "g2": g2},
               _meta(cfg, "g2", kind=args.kind, stage="histogram",
                     estimator=args.estimator, bin_ns=args.bin_ns,
                     n_starts=hist.n_starts, n_stops=hist.n_stops,

@@ -14,8 +14,8 @@ L_k from pieces of H and the jump operators and diagonalizes it, L_k = V Λ V⁻
 
 Where a block's cond(V) exceeds ``_COND_MAX`` (near an exceptional point),
 propagation there falls back to ``scipy.linalg.expm`` and the spectrum to a
-direct solve of (2πiΔν − L_k).  The steady state is an independent SVD
-null-space solve on the k = 0 block, cached on the model.
+direct solve of (2πiΔν − L_k).  The steady state is the k = 0 block's one
+zero-eigenvalue mode, read off the same decomposition and cached on the model.
 
 Frequencies are ordinary GHz, times ns; the generator itself is in rad/ns.
 """
@@ -181,25 +181,20 @@ class _Model:
 
     @cached_property
     def steady(self) -> np.ndarray:
-        """Null-space steady state of the k = 0 block, trace-normalized."""
-        (idx, gen), d = self.generator(0), self.space.dim
-        svals = np.linalg.svd(gen, compute_uv=False)
-        tol = max(1e-12 * svals[0], 1e-14)
-        null_dim = int(np.sum(svals < tol))
-        if null_dim > 1:
+        """Zero-eigenvalue eigenvector of the k = 0 block, trace-normalized."""
+        b, d = self.block(0), self.space.dim
+        mags = np.abs(b.evals)
+        null = np.flatnonzero(mags < max(1e-12 * mags.max(), 1e-14))
+        if null.size != 1:
             raise NumericalError(
-                f"degenerate steady state: generator null space has dimension {null_dim}"
+                f"degenerate steady state: generator null space has dimension {null.size}"
             )
-        trace_row = np.eye(d, dtype=complex).reshape(-1)[idx]
-        lhs = np.vstack([gen, trace_row * svals[0]])
-        rhs = np.zeros(idx.size + 1, dtype=complex)
-        rhs[-1] = svals[0]
-        vec, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        residual = float(np.linalg.norm(gen @ vec))
+        rho = np.zeros((d, d), dtype=complex)
+        rho.flat[b.idx] = b.vecs[:, null[0]]
+        rho /= np.trace(rho)
+        residual = float(np.linalg.norm(b.gen @ rho.flat[b.idx]))
         if residual > 1e-10:
             raise NumericalError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-        rho = np.zeros((d, d), dtype=complex)
-        rho.flat[idx] = vec
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
         return rho
@@ -262,11 +257,12 @@ def evolve(rho0: np.ndarray, p: SystemParams, t_grid_ns: np.ndarray,
 
 def steady_state(p: SystemParams, detuning: Detuning | None = None,
                  model: _Model | None = None) -> np.ndarray:
-    """Null-space steady state of the generator, trace-normalized.
+    """Steady state of the generator: its zero-eigenvalue mode, trace-normalized.
 
-    The model solves it once, on its k = 0 block, and returns a copy here.
-    Raises :class:`NumericalError` when the null space is degenerate (more
-    than one stationary solution) or the residual exceeds 1e-10.
+    The model reads it once off the eigendecomposition of its k = 0 block
+    and returns a copy here.  Raises :class:`NumericalError` unless exactly
+    one eigenvalue is zero (|λ| below 1e-12 of the largest, floor 1e-14), or
+    when the residual exceeds 1e-10.
     """
     if model is None:
         model = build_model(p, detuning)

@@ -55,7 +55,6 @@ class FitResult:
     converged: bool
     message: str = ""
     derived: dict = field(default_factory=dict)
-    covariance: np.ndarray | None = None
 
 
 def _fd_jacobian(residual, x, r0, rel_step=1e-6):
@@ -143,7 +142,7 @@ def _result(names, x, cov, info, derived=None) -> FitResult:
                      residual_norm=info["residual_norm"],
                      n_iterations=info["n_iterations"],
                      converged=info["converged"], message=info["message"],
-                     derived=derived or {}, covariance=cov)
+                     derived=derived or {})
 
 
 # ---------------------------------------------------------------------------

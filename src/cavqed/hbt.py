@@ -2,9 +2,9 @@
 
 Emulates the measurement electronics downstream of the detectors: a 50:50
 beam splitter, start-stop (first-stop) or all-pairs delay histogramming over
-a finite window, CW and pulsed g2 normalization, and pulsed peak-area
-analysis.  Everything operates on plain sorted float arrays of click times
-in ns, so the same code digests simulated and imported data.
+a finite window, CW g2 normalization, and pulsed peak-area analysis, which
+gives the pulsed g2.  Everything operates on plain sorted float arrays of
+click times in ns, so the same code digests simulated and imported data.
 
 The all-pairs histogram is one two-sided pass that streams pair delays into
 bin counts in fixed-size chunks and never holds a pair list, so its memory
@@ -72,6 +72,7 @@ class PeakAreaReport:
     peak_offsets: np.ndarray      # integer multiples of the period
     peak_areas: np.ndarray
     half_window_ns: float
+    g2: np.ndarray                # counts / mean side-peak level per bin
 
 
 def split_beam(times_ns: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,27 +168,17 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
     return Histogram(edges, counts, n_starts=starts.size, n_stops=stops.size)
 
 
-def normalize_g2(h: Histogram, duration_ns: float | None = None,
-                 mode: str = "cw", rep_period_ns: float | None = None) -> CorrelationTrace:
-    """Histogram to normalized g2.
+def normalize_g2(h: Histogram, duration_ns: float) -> CorrelationTrace:
+    """Histogram to CW-normalized g2.
 
-    CW mode divides by n_starts * r_stop * bin, the uncorrelated coincidence
-    level, with the stop rate r_stop = n_stops / ``duration_ns`` inferred
-    from the recorded totals over the acquisition time.  Pulsed mode
-    divides by the mean side-peak level from :func:`pulsed_peak_areas`, each
-    peak integrated over +-period/4.
+    Divides by n_starts * r_stop * bin, the uncorrelated coincidence level,
+    with the stop rate r_stop = n_stops / ``duration_ns`` inferred from the
+    recorded totals over the acquisition time.  The pulsed g2 comes with
+    :func:`pulsed_peak_areas`.
     """
-    if mode == "cw":
-        if not duration_ns:
-            raise ValueError("cw normalization needs duration_ns")
-        denom = h.n_starts * (h.n_stops / duration_ns) * h.bin_width_ns
-    elif mode == "pulsed":
-        if not rep_period_ns:
-            raise ValueError("pulsed normalization needs rep_period_ns")
-        report = pulsed_peak_areas(h, rep_period_ns, rep_period_ns / 4.0)
-        denom = report.mean_side_area * h.bin_width_ns / (2.0 * report.half_window_ns)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if duration_ns <= 0:
+        raise ValueError("cw normalization needs duration_ns > 0")
+    denom = h.n_starts * (h.n_stops / duration_ns) * h.bin_width_ns
     if denom <= 0:
         raise ValueError("zero normalization: no uncorrelated coincidence level")
     return CorrelationTrace(h.centers_ns, h.counts / denom)
@@ -195,7 +186,11 @@ def normalize_g2(h: Histogram, duration_ns: float | None = None,
 
 def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
                       half_window_ns: float) -> PeakAreaReport:
-    """Integrate counts around every multiple of the pulse period in range."""
+    """Integrate counts around every multiple of the pulse period in range.
+
+    The report's ``g2`` is the histogram in units of the mean side-peak
+    level per bin, mean_side_area * bin / (2 * half_window): the pulsed g2.
+    """
     if half_window_ns <= 0 or 2.0 * half_window_ns > rep_period_ns:
         raise ValueError("peak windows overlap: need 2*half_window <= rep_period")
     lo, hi = h.bin_edges_ns[0], h.bin_edges_ns[-1]
@@ -216,7 +211,8 @@ def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
         raise ValueError("no counts in the side peaks; cannot form a ratio")
     return PeakAreaReport(mean_side_area=mean_side, ratio=central / mean_side,
                           peak_offsets=offsets, peak_areas=areas,
-                          half_window_ns=half_window_ns)
+                          half_window_ns=half_window_ns,
+                          g2=h.counts / (mean_side * h.bin_width_ns / (2.0 * half_window_ns)))
 
 
 def poisson_stream(rate_per_ns: float, duration_ns: float, seed: int,

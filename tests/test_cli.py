@@ -195,6 +195,18 @@ def test_g2_regression_cross(tmp_path):
     assert g2[-1] > 0.7
 
 
+@pytest.mark.parametrize("flags", [
+    ["--method", "regression", "--bin-ns", "0"],
+    ["--method", "trajectories", "--duration-ns", "-5"],
+    ["--method", "trajectories", "--window-ns", "-1"],
+    ["--method", "trajectories", "--bin-ns", "0"],
+], ids=["regression-bin-0", "duration-negative", "window-negative", "bin-0"])
+def test_g2_bad_flag_value_exits_2(tmp_path, capsys, flags):
+    assert run(["g2", "--seed", "3", *flags, "--out-prefix", tmp_path / "g"]) == 2
+    assert "configuration error: g2 needs" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_trajectory_zero_norm_exits_numeric(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(trajectories._Engine, "click_weights",
                         lambda self, x: np.zeros(len(trajectories.DETECTED)))

@@ -307,6 +307,19 @@ class TestSteadyState:
         assert np.trace(model.steady).real == pytest.approx(1.0, rel=1e-12)
         assert model.steady is model.steady
 
+    # No dissipation leaves every stationary population of H free; a dark
+    # exciton (no decay, no pump, no coupling) keeps its population.
+    @pytest.mark.parametrize("params, dim", [
+        (dict(gamma_m_GHz=0.0, gamma_x_GHz=0.0, gamma_b_GHz=0.0, pump_GHz=0.0), 6),
+        (dict(g_GHz=0.0, gamma_x_GHz=0.0, gamma_b_GHz=0.0, pump_GHz=0.0,
+              gamma_m_GHz=24.1), 2),
+    ], ids=["no-dissipation", "dark-exciton"])
+    def test_degenerate_steady_state_rejected(self, params, dim):
+        p = SystemParams(n_max=2, **params)
+        with pytest.raises(NumericalError,
+                           match=f"degenerate steady state: .*dimension {dim}$"):
+            steady_state(p, RES)
+
 
 class TestEmissionSpectrum:
     def _grid(self, p, det, pad=60.0, step=0.05):

@@ -167,9 +167,16 @@ class TestNormalizeG2:
 
     def test_zero_normalization_rejected(self):
         h = Histogram(np.array([-1.0, 0.0, 1.0]), np.array([0, 0]),
+                      n_starts=0, n_stops=10)
+        with pytest.raises(ValueError, match="zero normalization"):
+            normalize_g2(h, duration_ns=100.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -5.0])
+    def test_nonpositive_duration_rejected(self, duration):
+        h = Histogram(np.array([-1.0, 0.0, 1.0]), np.array([1, 1]),
                       n_starts=10, n_stops=10)
-        with pytest.raises(ValueError):
-            normalize_g2(h)
+        with pytest.raises(ValueError, match="duration_ns > 0"):
+            normalize_g2(h, duration_ns=duration)
 
 
 class TestPulsedPeakAreas:
@@ -197,6 +204,17 @@ class TestPulsedPeakAreas:
         h = self._pulsed_histogram(counts)
         rep = pulsed_peak_areas(h, 25.0, 6.25)
         assert rep.ratio == pytest.approx(1.0, abs=0.05)
+
+    def test_g2_side_peaks_average_to_one(self):
+        rng = np.random.default_rng(4)
+        h = self._pulsed_histogram(rng.poisson(0.8, size=30000))
+        period, half = 25.0, 6.25
+        rep = pulsed_peak_areas(h, period, half)
+        centers = h.centers_ns
+        side = [float(rep.g2[np.abs(centers - k * period) <= half].sum())
+                * h.bin_width_ns / (2.0 * half)
+                for k in rep.peak_offsets if k != 0]
+        assert np.mean(side) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlapping_windows_rejected(self):
         h = self._pulsed_histogram(np.ones(200))

@@ -46,11 +46,29 @@ class ConfigError(ValueError):
     """Bad configuration file, flag value, or input data layout."""
 
 
+# A config value must have its field default's type, except that a float
+# field also takes an int and a field that defaults to None takes a number.
+_ALSO_TAKES = {float: (int, float), type(None): (type(None), int, float)}
+
+
+def _section(data: dict, name: str, cls):
+    """Config section ``name`` built from ``data``, each value type-checked."""
+    values = data.get(name, {})
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    for f in fields(cls):
+        kind = type(f.default)
+        if f.name in values and type(values[f.name]) not in _ALSO_TAKES.get(kind, (kind,)):
+            raise ConfigError(f"{name}.{f.name} must be {f.type}, got {values[f.name]!r}")
+    return cls(**values)
+
+
 @dataclass
 class RunConfig:
     """All sub-configurations plus the seed; ``--out``/``--out-prefix`` name the files.
 
-    ``from_dict`` raises :class:`ConfigError` on an unknown key or a seed outside [0, 2**63).
+    ``from_dict`` raises :class:`ConfigError` on an unknown key, a value of
+    the wrong type, or a seed outside [0, 2**63).
     """
 
     system: SystemParams = field(default_factory=SystemParams)
@@ -69,10 +87,10 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer in [0, 2**63), got {seed!r}")
         try:
             return cls(
-                system=SystemParams(**data.get("system", {})),
-                instrument=InstrumentConfig(**data.get("instrument", {})),
-                pulses=PulseConfig(**data.get("pulses", {})),
-                telegraph=TelegraphConfig(**data.get("telegraph", {})),
+                system=_section(data, "system", SystemParams),
+                instrument=_section(data, "instrument", InstrumentConfig),
+                pulses=_section(data, "pulses", PulseConfig),
+                telegraph=_section(data, "telegraph", TelegraphConfig),
                 seed=seed,
             )
         except (TypeError, ValueError) as exc:
@@ -232,8 +250,7 @@ def _lifetime_point(cfg: RunConfig, dl: float, method: str, seed) -> float:
     pulses = cfg.pulses
     clicks = trajectories.run_pulsed(p, det, pulses, seed=seed)
     # Collected PL = both radiative channels; fit the folded decay curve.
-    times = np.sort(np.concatenate([clicks.times("cavity_loss"),
-                                    clicks.times("exciton_radiative")]))
+    times = clicks.times_ns
     if times.size < 100:
         raise dynamics.NumericalError(
             f"only {times.size} clicks at detuning {dl} nm; increase n_pulses")

@@ -99,21 +99,18 @@ def _kron_block(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
     return a[i[:, None], i] * b[j[:, None], j]
 
 
-def liouvillian(h_ang: np.ndarray, jump_ops: list[np.ndarray], idx: np.ndarray,
-                unravelled=()) -> np.ndarray:
+def liouvillian(h_ang: np.ndarray, jump_ops: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     """Block L[idx, idx] of the Lindblad generator on row-major vectorized states (rad/ns).
 
     Terms add in the order of the kron form of L, so the block equals that
-    form's bit for bit.  Operators at positions ``unravelled`` lose J⊗J*
-    (the no-click generator L₀).
+    form's bit for bit.
     """
     ident = np.eye(h_ang.shape[0], dtype=complex)
     i, j = np.divmod(idx, h_ang.shape[0])
     gen = -1j * (_kron_block(h_ang, ident, i, j) - _kron_block(ident, h_ang.T, i, j))
-    for n, c in enumerate(jump_ops):
+    for c in jump_ops:
         cdc = c.conj().T @ c
-        if n not in unravelled:
-            gen += _kron_block(c, c.conj(), i, j)
+        gen += _kron_block(c, c.conj(), i, j)
         gen -= 0.5 * (_kron_block(cdc, ident, i, j) + _kron_block(ident, cdc.T, i, j))
     return gen
 
@@ -135,6 +132,17 @@ class _Block(NamedTuple):
         return (np.exp(np.outer(t, self.evals)) * (self.vinv @ x)) @ self.vecs.T
 
 
+def _decompose(idx: np.ndarray, gen: np.ndarray) -> _Block:
+    """Eigendecomposition of the block ``gen`` on the entries ``idx``."""
+    # QZ with B = I instead of geev: geev's scaling balance loses ~1e-8
+    # of accuracy when tiny rates (entries ~1e-28) sit next to large ones.
+    evals, vecs = scipy.linalg.eig(gen, np.eye(idx.size))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    cond = float(np.linalg.cond(vecs))
+    vinv = np.linalg.inv(vecs) if cond <= _COND_MAX else None
+    return _Block(idx, gen, evals, vecs, vinv, cond)
+
+
 @dataclass(frozen=True)
 class _Model:
     """Prebuilt operators for one parameter point; generator blocks on demand."""
@@ -144,9 +152,6 @@ class _Model:
     space: StateSpace
     h_ang: np.ndarray
     channels: list
-    # Channels whose jump term the blocks leave out (trajectories' L₀).
-    _unravelled: tuple = ()
-    _gens: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -157,26 +162,15 @@ class _Model:
         return np.rint(np.subtract.outer(n, n)).astype(int).reshape(-1)
 
     def generator(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(idx, L[idx, idx]) for the entries idx of order k, assembled on first use."""
-        if k not in self._gens:
-            idx = np.flatnonzero(self.orders == k)
-            live = [c for c in self.channels if c.rate_GHz > 0]
-            self._gens[k] = idx, liouvillian(
-                self.h_ang, [c.jump_operator for c in live], idx,
-                [n for n, c in enumerate(live) if c.label in self._unravelled])
-        return self._gens[k]
+        """(idx, L[idx, idx]) for the entries idx of order k."""
+        idx = np.flatnonzero(self.orders == k)
+        live = [c.jump_operator for c in self.channels if c.rate_GHz > 0]
+        return idx, liouvillian(self.h_ang, live, idx)
 
     def block(self, k: int) -> _Block:
         """Eigendecomposition of the order-k block, computed on first use."""
         if k not in self._blocks:
-            idx, gen = self.generator(k)
-            # QZ with B = I instead of geev: geev's scaling balance loses ~1e-8
-            # of accuracy when tiny rates (entries ~1e-28) sit next to large ones.
-            evals, vecs = scipy.linalg.eig(gen, np.eye(idx.size))
-            vecs /= np.linalg.norm(vecs, axis=0)
-            cond = float(np.linalg.cond(vecs))
-            vinv = np.linalg.inv(vecs) if cond <= _COND_MAX else None
-            self._blocks[k] = _Block(idx, gen, evals, vecs, vinv, cond)
+            self._blocks[k] = _decompose(*self.generator(k))
         return self._blocks[k]
 
     @cached_property

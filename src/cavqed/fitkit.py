@@ -149,11 +149,23 @@ def _result(names, x, cov, info, derived=None) -> FitResult:
 # peak finding / initialization heuristics
 # ---------------------------------------------------------------------------
 
-def peak_locations(axis: np.ndarray, intensity: np.ndarray, n_peaks: int) -> np.ndarray:
-    """Locations of the ``n_peaks`` tallest local maxima, parabola-refined.
+def _prominence(ys: np.ndarray, i: int) -> float:
+    """Height of the interior maximum ys[i] above the higher of the lowest
+    points between it and the nearest taller sample (or the edge) on each side."""
+    floors = []
+    for side in (ys[i - 1::-1], ys[i + 1:]):
+        taller = np.flatnonzero(side > ys[i])
+        floors.append(side[:taller[0] if taller.size else side.size].min())
+    return ys[i] - max(floors)
 
-    Light smoothing suppresses single-sample noise spikes; chosen maxima lie
-    at least span/(8 n_peaks) apart.  The positions are sorted ascending.
+
+def peak_locations(axis: np.ndarray, intensity: np.ndarray, n_peaks: int) -> np.ndarray:
+    """Locations of the ``n_peaks`` most prominent local maxima, parabola-refined.
+
+    Light smoothing suppresses single-sample noise spikes, and ranking by
+    prominence instead of height puts the noise ripples on a line's top below
+    a separate line, however close that line sits.  The positions are sorted
+    ascending.
     """
     axis = np.asarray(axis, float)
     y = np.asarray(intensity, float)
@@ -161,26 +173,15 @@ def peak_locations(axis: np.ndarray, intensity: np.ndarray, n_peaks: int) -> np.
         raise FitError("need at least 5 samples to locate peaks")
     kernel = np.ones(5) / 5.0
     ys = np.convolve(y, kernel, mode="same")
-    min_separation = (axis[-1] - axis[0]) / (8.0 * max(n_peaks, 1))
     interior = np.nonzero((ys[1:-1] >= ys[:-2]) & (ys[1:-1] > ys[2:]))[0] + 1
-    order = interior[np.argsort(ys[interior])[::-1]]
-    chosen: list[int] = []
-    for idx in order:
-        if all(abs(axis[idx] - axis[j]) >= min_separation for j in chosen):
-            chosen.append(idx)
-        if len(chosen) == n_peaks:
-            break
-    if len(chosen) < n_peaks:
-        raise FitError(f"found only {len(chosen)} of {n_peaks} requested peaks")
-    refined = []
-    for idx in chosen:
-        i = min(max(idx, 1), axis.size - 2)
-        y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        shift = 0.5 * (y0 - y2) / denom if abs(denom) > 0 else 0.0
-        shift = float(np.clip(shift, -1.0, 1.0))
-        refined.append(axis[i] + shift * (axis[min(i + 1, axis.size - 1)] - axis[i]))
-    return np.sort(np.asarray(refined))
+    if interior.size < n_peaks:
+        raise FitError(f"found only {interior.size} of {n_peaks} requested peaks")
+    prominence = [_prominence(ys, i) for i in interior]
+    i = interior[np.argsort(prominence)[::-1][:n_peaks]]
+    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    shift = np.clip(0.5 * (y0 - y2) / np.where(denom != 0, denom, np.inf), -1.0, 1.0)
+    return np.sort(axis[i] + shift * (axis[i + 1] - axis[i]))
 
 
 def _halfmax_width(axis, y, center, floor) -> float:

@@ -67,7 +67,6 @@ class Histogram:
 class PeakAreaReport:
     """Pulsed-autocorrelation peak areas around multiples of the pulse period."""
 
-    mean_side_area: float
     ratio: float                  # central area / mean side area
     peak_offsets: np.ndarray      # integer multiples of the period
     peak_areas: np.ndarray
@@ -189,7 +188,7 @@ def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
     """Integrate counts around every multiple of the pulse period in range.
 
     The report's ``g2`` is the histogram in units of the mean side-peak
-    level per bin, mean_side_area * bin / (2 * half_window): the pulsed g2.
+    level per bin, mean side area * bin / (2 * half_window): the pulsed g2.
     """
     if half_window_ns <= 0 or 2.0 * half_window_ns > rep_period_ns:
         raise ValueError("peak windows overlap: need 2*half_window <= rep_period")
@@ -209,7 +208,7 @@ def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
     mean_side = float(side.mean())
     if mean_side <= 0:
         raise ValueError("no counts in the side peaks; cannot form a ratio")
-    return PeakAreaReport(mean_side_area=mean_side, ratio=central / mean_side,
+    return PeakAreaReport(ratio=central / mean_side,
                           peak_offsets=offsets, peak_areas=areas,
                           half_window_ns=half_window_ns,
                           g2=h.counts / (mean_side * h.bin_width_ns / (2.0 * half_window_ns)))

@@ -21,7 +21,6 @@ import numpy as np
 from .units import (
     SPEED_OF_LIGHT_NM_GHZ,
     Detuning,
-    detuning_to_frequency,
     frequency_to_detuning,
     lifetime_from_fwhm,
     wavelength_to_frequency,
@@ -154,11 +153,9 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class LifetimeBudget:
-    """Exciton decay decomposition: background plus emission into the cavity."""
+    """Exciton lifetime and its decay rate into the cavity, gamma_SE."""
 
     tau_ns: float
-    gamma_total_GHz: float
-    gamma_background_GHz: float
     gamma_cavity_GHz: float
 
 
@@ -239,15 +236,12 @@ def rabi_splitting(p: SystemParams) -> tuple[float, float]:
 
 
 def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
-                      detuning: Detuning | None = None,
-                      amplitude_model: str = "hopfield-weighted") -> Spectrum:
+                      detuning: Detuning | None = None) -> Spectrum:
     """Two-Lorentzian polariton spectrum on an ordinary-frequency grid.
 
-    ``amplitude_model`` selects how the two branch amplitudes are set:
-    ``"constant-pair"`` gives both branches unit amplitude (the bare
-    line shapes), ``"hopfield-weighted"`` uses the squared photon fraction of
-    each eigenvector (the right default when predicting what a photon
-    detector sees).  Output is normalized to unit peak.
+    Each branch is weighted by the squared photon fraction of its
+    eigenvector, which is what a photon detector sees.  Output is normalized
+    to unit peak.
     """
     grid = np.asarray(grid_GHz, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -257,12 +251,7 @@ def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
     if detuning is None:
         detuning = p.detuning()
     modes = eigenmodes(p, detuning)
-    if amplitude_model == "hopfield-weighted":
-        a_plus, a_minus = modes.photon_fraction_plus, modes.photon_fraction_minus
-    elif amplitude_model == "constant-pair":
-        a_plus, a_minus = 1.0, 1.0
-    else:
-        raise ValueError(f"unknown amplitude model {amplitude_model!r}")
+    a_plus, a_minus = modes.photon_fraction_plus, modes.photon_fraction_minus
     comp_plus = a_plus / ((grid - modes.omega_plus_GHz) ** 2 + modes.hwhm_plus_GHz**2)
     comp_minus = a_minus / ((grid - modes.omega_minus_GHz) ** 2 + modes.hwhm_minus_GHz**2)
     total = comp_plus + comp_minus
@@ -291,10 +280,7 @@ def purcell_lifetime(p: SystemParams, detuning: Detuning | None = None) -> Lifet
         detuning = p.detuning()
     dw = detuning.dw_GHz
     gamma_se = p.gamma_m_GHz * p.g_GHz**2 / (dw**2 + (p.gamma_m_GHz / 2.0) ** 2)
-    gamma_tot = p.gamma_b_GHz + gamma_se
     return LifetimeBudget(
-        tau_ns=lifetime_from_fwhm(gamma_tot),
-        gamma_total_GHz=gamma_tot,
-        gamma_background_GHz=p.gamma_b_GHz,
+        tau_ns=lifetime_from_fwhm(p.gamma_b_GHz + gamma_se),
         gamma_cavity_GHz=gamma_se,
     )

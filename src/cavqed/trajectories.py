@@ -13,8 +13,9 @@ distribution of detected click records unchanged (Wiseman & Milburn,
 P(s) = Tr e^{L₀s}ρ is the probability of no click within s.  A click
 happens when P falls to a uniform draw u, at a time solved to 1e-12
 relative; the channel is drawn with weights Tr(JρJ†) and ρ → JρJ†/Tr.
-e^{L₀s} comes from the model's decomposition of the k = 0 block of L₀ (or
-its expm fallback near an exceptional point), so nothing is time-stepped.
+The engine forms L₀'s k = 0 block as the model's block of L less the two
+J⊗J* blocks; e^{L₀s} comes from its decomposition (or the expm fallback
+near an exceptional point), so nothing is time-stepped.
 
 Randomness comes from counter-based Philox streams keyed by
 (master seed, trajectory index), so runs are bit-reproducible and the
@@ -122,13 +123,14 @@ class _Engine:
     """Conditional-state unravelling of the detected channels of one model."""
 
     def __init__(self, model: dynamics._Model):
-        self.model = replace(model, _unravelled=DETECTED)
-        self.block = self.model.block(0)
+        self.model = model
+        idx, gen = model.generator(0)
         # Block entry n is ρ[i[n], j[n]].
-        self._i, self._j = np.divmod(self.block.idx, model.space.dim)
+        self._i, self._j = np.divmod(idx, model.space.dim)
         self.trace = (self._i == self._j).astype(float)
         ops = {c.label: c.jump_operator for c in model.channels}
         self.jumps = [self.sandwich(ops[label]) for label in DETECTED]
+        self.block = dynamics._decompose(idx, gen - sum(self.jumps))
         # Row k gives Tr(J_k ρ J_k†); their sum is the click rate −P′.
         self.emission = np.array([self.trace @ j for j in self.jumps])
         self._probe = np.vstack([self.trace, -self.emission.sum(axis=0)])

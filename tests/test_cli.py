@@ -43,6 +43,21 @@ def test_spectrum_diffused_triplet(tmp_path):
     assert peaks.size == 3
 
 
+def test_fit_lorentz_on_diffused_triplet(tmp_path):
+    # the three smoothed maxima lie 0.042-0.047 nm apart on a 1.25 nm grid
+    data = tmp_path / "triplet.csv"
+    assert run(["spectrum", "--mode", "diffused", "--fast", "--detuning-nm", "0",
+                "--set", "system.transfer_GHz=0.05",
+                "--set", "telegraph.detuned_offset_GHz=-1500", "--out", data]) == 0
+    meta, params = _fit(tmp_path, data, "--model", "lorentz", "--gaussian-fwhm-nm", "0.021")
+    centers = sorted((params[f"center_{k}"], k) for k in (1, 2, 3))
+    k = centers[1][1]
+    assert params[f"center_{k}"] == pytest.approx(942.4993, abs=0.001)
+    # the 71 pm cavity line carries 1 - 0.55 of the area
+    assert params[f"fwhm_{k}"] == pytest.approx(0.0716, abs=0.001)
+    assert float(meta[f"derived_area_fraction_{k}"]) == pytest.approx(0.45, abs=0.01)
+
+
 def test_spectrum_master_detuned_cavity_line(tmp_path):
     out = tmp_path / "master.csv"
     assert run(["spectrum", "--mode", "master", "--detuning-nm", "4.1",
@@ -204,6 +219,18 @@ def test_g2_regression_cross(tmp_path):
 def test_g2_bad_flag_value_exits_2(tmp_path, capsys, flags):
     assert run(["g2", "--seed", "3", *flags, "--out-prefix", tmp_path / "g"]) == 2
     assert "configuration error: g2 needs" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("assignment", [
+    "pulses.n_pulses=1.5", "system.n_max=2.5", "system.emitter_levels=2.0",
+    'telegraph.detuned_offset_GHz="x"', "pulses.n_pulses=true", 'system.g_GHz="abc"',
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, assignment):
+    key = assignment.split("=")[0]
+    assert run(["spectrum", "--mode", "analytic", "--detuning-nm", "0",
+                "--set", assignment, "--out", tmp_path / "s.csv"]) == 2
+    assert f"configuration error: {key} must be" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -303,3 +303,15 @@ def test_peak_locations_orders_and_refines():
     assert got == pytest.approx([3.0, 7.2], abs=0.02)
     with pytest.raises(FitError):
         peak_locations(x, y, 5)
+
+
+def test_peak_locations_ranks_close_lines_above_noise_ripples():
+    # lines 0.042 nm apart; the 1% noise leaves ripples on the central line's
+    # top that stand taller than the side lines, whose noise-free maxima sit
+    # at 942.4634 and 942.5366
+    rng = np.random.default_rng(1)
+    x = np.linspace(942.0, 943.0, 2001)
+    y = (lorentz(x, 942.458, 0.048, 0.275) + lorentz(x, 942.5, 0.0714, 0.45)
+         + lorentz(x, 942.542, 0.048, 0.275))
+    got = peak_locations(x, y * (1 + 0.01 * rng.standard_normal(x.size)), 3)
+    assert got == pytest.approx([942.4634, 942.5, 942.5366], abs=0.005)

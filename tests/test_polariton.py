@@ -123,7 +123,7 @@ class TestSpectralFunction:
     def test_resonant_doublet_constant_pair(self):
         wm = PAPER.omega_m_GHz
         grid = np.linspace(wm - 60, wm + 60, 24001)
-        s = spectral_function(grid, PAPER, RES, amplitude_model="constant-pair")
+        s = spectral_function(grid, PAPER, RES)
         peaks = grid[1:-1][(s.intensity[1:-1] > s.intensity[:-2])
                            & (s.intensity[1:-1] >= s.intensity[2:])]
         assert peaks.size == 2
@@ -138,8 +138,7 @@ class TestSpectralFunction:
                          gamma_b_GHz=0.015)
         wm = p.omega_m_GHz
         grid = np.linspace(wm - 100, wm + 100, 8001)
-        s = spectral_function(grid, p, Detuning.from_GHz(50.0, 942.5),
-                              amplitude_model="hopfield-weighted")
+        s = spectral_function(grid, p, Detuning.from_GHz(50.0, 942.5))
         peak = grid[np.argmax(s.intensity)]
         assert peak == pytest.approx(wm, abs=0.05)
         half = s.intensity >= 0.5

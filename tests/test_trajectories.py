@@ -83,7 +83,7 @@ def test_ill_conditioned_drift_matches_expm():
     p = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5,
                      gamma_m_GHz=24.1, gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3)
     engine = trajectories._Engine(dynamics.build_model(p, RES))
-    block = engine.model.block(0)
+    block = engine.block
     assert block.cond > dynamics._COND_MAX
     x = engine.sandwich(engine.model.space.sigma.conj().T) @ engine.ground
     prob, state = engine.no_click(x)

@@ -1,5 +1,5 @@
 """Run every command of the README "Command line" block and its "Library
-example"; exit 1 if any fails.
+example"; exit 1 if any fails.  Warnings are errors, as they are under pytest.
 
 Each ``cavqed ...`` line (backslash continuations joined) runs as
 ``python -m cavqed.cli ...`` in one working directory, in README order, so a
@@ -42,7 +42,7 @@ def library_example() -> str:
 
 
 def run_all(commands: list[list[str]], example: str, workdir: Path) -> int:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     failed = 0
     for args in commands:

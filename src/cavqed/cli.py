@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -47,7 +48,8 @@ class ConfigError(ValueError):
 
 
 # A config value must have its field default's type, except that a float
-# field also takes an int and a field that defaults to None takes a number.
+# field also takes an int and a field that defaults to None takes a number;
+# a float must be finite.
 _ALSO_TAKES = {float: (int, float), type(None): (type(None), int, float)}
 
 
@@ -57,9 +59,11 @@ def _section(data: dict, name: str, cls):
     if not isinstance(values, dict):
         raise ConfigError(f"config section {name!r} must be an object")
     for f in fields(cls):
-        kind = type(f.default)
-        if f.name in values and type(values[f.name]) not in _ALSO_TAKES.get(kind, (kind,)):
-            raise ConfigError(f"{name}.{f.name} must be {f.type}, got {values[f.name]!r}")
+        value, kind = values.get(f.name), type(f.default)
+        if f.name in values and type(value) not in _ALSO_TAKES.get(kind, (kind,)):
+            raise ConfigError(f"{name}.{f.name} must be {f.type}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{name}.{f.name} must be finite, got {value!r}")
     return cls(**values)
 
 
@@ -68,7 +72,7 @@ class RunConfig:
     """All sub-configurations plus the seed; ``--out``/``--out-prefix`` name the files.
 
     ``from_dict`` raises :class:`ConfigError` on an unknown key, a value of
-    the wrong type, or a seed outside [0, 2**63).
+    the wrong type, a float that is not finite, or a seed outside [0, 2**63).
     """
 
     system: SystemParams = field(default_factory=SystemParams)
@@ -502,10 +506,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Refuse a float flag that is not finite and a grid of under 3 points."""
+    for key, value in vars(args).items():
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
+    if getattr(args, "points", 3) < 3:
+        raise ConfigError(f"--points must be at least 3, got {args.points}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

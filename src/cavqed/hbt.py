@@ -119,8 +119,8 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
 
 
 def _first_stops(starts: np.ndarray, stops: np.ndarray, window: float) -> np.ndarray:
-    """First stop after each start (classic TAC), within the window."""
-    idx = np.searchsorted(stops, starts, side="right")
+    """First stop at or after each start (classic TAC), within the window."""
+    idx = np.searchsorted(stops, starts, side="left")
     valid = idx < stops.size
     delays = stops[idx[valid]] - starts[valid]
     return delays[delays <= window]

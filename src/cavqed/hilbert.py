@@ -95,10 +95,6 @@ def _emitter_op(levels: int, row: int, col: int) -> np.ndarray:
 
 def build_space(p: SystemParams) -> StateSpace:
     """Construct ladder and transition operators for the configured truncation."""
-    if p.n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if p.emitter_levels not in (2, 3):
-        raise ValueError("emitter_levels must be 2 or 3")
     levels, nph = p.emitter_levels, p.n_max + 1
     a_ph = np.diag(np.sqrt(np.arange(1, nph)), 1).astype(complex)
     ident_ph = np.eye(nph, dtype=complex)

@@ -29,8 +29,10 @@ class InstrumentConfig:
     efficiency: float = 1.0        # per-click survival probability
 
     def __post_init__(self):
-        if self.spectral_resolution_pm < 0 or self.apd_irf_ps < 0:
-            raise ValueError("resolutions must be non-negative")
+        # Written so that NaN fails every check.
+        if not (0 <= self.spectral_resolution_pm < math.inf
+                and 0 <= self.apd_irf_ps < math.inf):
+            raise ValueError("resolutions must be finite and non-negative")
         if not 0 < self.efficiency <= 1:
             raise ValueError("efficiency must be in (0, 1]")
 

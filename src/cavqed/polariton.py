@@ -70,16 +70,17 @@ class SystemParams:
     feeder_decay_GHz: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_x_nm <= 0 or self.lambda_m_nm <= 0:
-            raise ValueError("wavelengths must be positive")
+        # Written so that NaN fails every check.
+        if not (0 < self.lambda_x_nm < math.inf and 0 < self.lambda_m_nm < math.inf):
+            raise ValueError("wavelengths must be positive and finite")
         for name in ("g_GHz", "gamma_x_GHz", "gamma_m_GHz", "gamma_b_GHz",
                      "pump_GHz", "transfer_GHz", "feeder_pump_GHz",
                      "feeder_decay_GHz"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.gamma_b_GHz > self.gamma_x_GHz:
             raise ValueError("background rate cannot exceed the total exciton linewidth")
-        if self.n_max < 1:
+        if not self.n_max >= 1:
             raise ValueError("n_max must be at least 1")
         if self.emitter_levels not in (2, 3):
             raise ValueError("emitter_levels must be 2 or 3")

@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, fitkit
+from . import dynamics
 from .polariton import Spectrum, SystemParams, eigenmodes, spectral_function
 from .units import Detuning
 
-__all__ = [
-    "TelegraphConfig",
-    "averaged_spectrum",
-    "fit_triplet",
-    "fraction_for_central_area",
-]
+__all__ = ["TelegraphConfig", "averaged_spectrum"]
 
 
 @dataclass(frozen=True)
@@ -103,49 +98,3 @@ def averaged_spectrum(p: SystemParams, detuning: Detuning | None,
     det = (1.0 - f) * _unit_area(s_det)
     return Spectrum(grid, res + det,
                     components={"resonant": res, "detuned": det})
-
-
-def fit_triplet(s: Spectrum, gaussian_fwhm: float = 0.0) -> fitkit.FitResult:
-    """Three-Lorentzian decomposition of a triplet spectrum.
-
-    ``gaussian_fwhm`` (same units as the spectrum axis) deconvolves a known
-    instrument response; peaks are reported sorted by center in ``derived``
-    along with their area fractions.
-    """
-    result = fitkit.fit_lorentzians(s, 3, gaussian_fwhm=gaussian_fwhm)
-    order = np.argsort([result.params[f"center_{k}"] for k in (1, 2, 3)])
-    for rank, idx in enumerate(order, start=1):
-        k = idx + 1
-        result.derived[f"sorted_center_{rank}"] = result.params[f"center_{k}"]
-        result.derived[f"sorted_fwhm_{rank}"] = result.params[f"fwhm_{k}"]
-        result.derived[f"sorted_area_fraction_{rank}"] = result.derived[f"area_fraction_{k}"]
-    return result
-
-
-def fraction_for_central_area(target_fraction: float, p: SystemParams,
-                              detuning: Detuning | None, grid_GHz: np.ndarray,
-                              cfg: TelegraphConfig | None = None,
-                              mode: str = "fast") -> float:
-    """Dwell fraction f whose mixture puts ``target_fraction`` of the area
-    in the central (cavity) component.
-
-    The mixture is linear in f and each regime is unit-area, so the central
-    share is (1 - f) times the detuned regime's own central share; one
-    reference mixture pins that constant.
-    """
-    if not 0.0 < target_fraction < 1.0:
-        raise ValueError("target fraction must lie strictly between 0 and 1")
-    cfg = cfg or TelegraphConfig()
-    ref = TelegraphConfig(resonant_fraction=0.5,
-                          detuned_offset_GHz=cfg.detuned_offset_GHz)
-    s = averaged_spectrum(p, detuning, ref, grid_GHz, mode=mode)
-    fit = fit_triplet(s)
-    central_share = fit.derived["sorted_area_fraction_2"]
-    q = central_share / (1.0 - ref.resonant_fraction)
-    f = 1.0 - target_fraction / q
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(
-            f"target {target_fraction} unreachable: detuned regime carries "
-            f"only {q:.3f} of its area in the central line"
-        )
-    return f

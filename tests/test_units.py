@@ -24,12 +24,6 @@ def test_energy_to_frequency_examples():
     assert units.energy_to_frequency(76.0) == pytest.approx(18.38, abs=0.005)
 
 
-def test_energy_frequency_round_trip_exact():
-    for e in (0.06, 35.0, 76.0, 86.0, 100.0):
-        back = units.frequency_to_energy(units.energy_to_frequency(e))
-        assert back == pytest.approx(e, rel=1e-12)
-
-
 @pytest.mark.parametrize("e_ueV,f_GHz,quantum", QUOTED_PAIRS)
 def test_quoted_pairs_consistent(e_ueV, f_GHz, quantum):
     # Each quoted pair must agree within 1.5% or round to the quoted figure.
@@ -76,14 +70,6 @@ def test_detuning_antisymmetric_and_linear(a, b):
         rel=1e-12, abs=1e-12)
 
 
-def test_q_factor():
-    assert units.q_factor(942.5, 0.0714) == pytest.approx(13200, abs=5)
-    assert units.q_factor(942.5, 942.5) == 1.0
-    assert units.q_factor(942.5, 942.5 / 26000) == pytest.approx(26000)
-    with pytest.raises(ValueError):
-        units.q_factor(942.5, 0.0)
-
-
 def test_lifetime_from_fwhm():
     assert units.lifetime_from_fwhm(0.015) == pytest.approx(10.61, abs=0.01)
     assert units.lifetime_from_fwhm(1.0 / (2 * math.pi)) == pytest.approx(1.0, rel=1e-12)
@@ -96,13 +82,6 @@ def test_lifetime_matches_background_quote():
     # 15 MHz background rate corresponds to ~11 ns (10.6 exactly).
     tau = units.lifetime_from_fwhm(0.015)
     assert abs(tau - 11.0) / 11.0 < 0.05
-
-
-@given(st.floats(min_value=1e-3, max_value=1e4))
-def test_energy_wavelength_chain_round_trip(f_GHz):
-    lam = units.frequency_to_wavelength(f_GHz)
-    e = units.frequency_to_energy(units.wavelength_to_frequency(lam))
-    assert units.energy_to_frequency(e) == pytest.approx(f_GHz, rel=1e-9)
 
 
 class TestDetuningType:

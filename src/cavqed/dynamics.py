@@ -180,8 +180,13 @@ class _Model:
         mags = np.abs(b.evals)
         null = np.flatnonzero(mags < max(1e-12 * mags.max(), 1e-14))
         if null.size != 1:
+            p = self.params
+            why = ""
+            if p.emitter_levels == 3 and p.feeder_pump_GHz == 0 and p.feeder_decay_GHz == 0:
+                why = ("; the feeder level is isolated, with feeder_pump_GHz = 0 "
+                       "and feeder_decay_GHz = 0")
             raise NumericalError(
-                f"degenerate steady state: generator null space has dimension {null.size}"
+                f"degenerate steady state: generator null space has dimension {null.size}{why}"
             )
         rho = np.zeros((d, d), dtype=complex)
         rho.flat[b.idx] = b.vecs[:, null[0]]

@@ -11,6 +11,7 @@ fraction f directly sets the weight of each regime in the total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class TelegraphConfig:
     def __post_init__(self):
         if not 0.0 <= self.resonant_fraction <= 1.0:
             raise ValueError("resonant_fraction must lie in [0, 1]")
+        if self.detuned_offset_GHz is not None and not math.isfinite(self.detuned_offset_GHz):
+            raise ValueError("detuned_offset_GHz must be finite")
 
 
 def _shifted_detuning(p: SystemParams, detuning: Detuning,

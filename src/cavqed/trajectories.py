@@ -14,8 +14,17 @@ P(s) = Tr e^{L₀s}ρ is the probability of no click within s.  A click
 happens when P falls to a uniform draw u, at a time solved to 1e-12
 relative; the channel is drawn with weights Tr(JρJ†) and ρ → JρJ†/Tr.
 The engine forms L₀'s k = 0 block as the model's block of L less the two
-J⊗J* blocks; e^{L₀s} comes from its decomposition (or the expm fallback
-near an exceptional point), so nothing is time-stepped.
+J⊗J* blocks and decomposes it, L₀ = VΛV⁻¹.  It carries the state in that
+eigenbasis, c = V⁻¹ρ, so a no-click stretch multiplies each coordinate by
+its own exponential and nothing is time-stepped; the jumps and the capture
+map act as V⁻¹MV.  Near an exceptional point, where V is ill-conditioned,
+the same loop runs with V = I and e^{L₀s} from ``scipy.linalg.expm``.
+
+The click time is a safeguarded Newton solve of log P(s) = log u.  Its
+start is exact: P(0) = Tr ρ = 1, P′(0) = −Σ Tr(JρJ†) and P″(0) are read off
+the state with no exponential.  Probe rows for P, P′ and P″ give the
+curvature at every step, so a Newton step whose remaining error is well
+under the tolerance ends the solve without evaluating P again.
 
 Randomness comes from counter-based Philox streams keyed by
 (master seed, trajectory index), so runs are bit-reproducible and the
@@ -24,10 +33,13 @@ trajectories of an ensemble are independent.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from . import dynamics, hilbert
 from .dynamics import NumericalError
@@ -118,127 +130,149 @@ class ClickStream:
 
 
 class _Engine:
-    """Conditional-state unravelling of the detected channels of one model."""
+    """Conditional-state unravelling of the detected channels of one model.
+
+    The state is carried as c = V⁻¹x, its coordinates in the eigenvectors V
+    of L₀'s k = 0 block, so that a no-click stretch scales each coordinate
+    by its own exponential.  Every operator that acts on the state is held
+    as V⁻¹MV and every row as row·V.  On the expm fallback V = I.
+    """
 
     def __init__(self, model: dynamics._Model):
         self.model = model
         idx, gen = model.generator(0)
         # Block entry n is ρ[i[n], j[n]].
         self._i, self._j = np.divmod(idx, model.space.dim)
-        self.trace = (self._i == self._j).astype(float)
+        trace = (self._i == self._j).astype(float)
         ops = {c.label: c.jump_operator for c in model.channels}
-        self.jumps = [self.sandwich(ops[label]) for label in DETECTED]
-        self.block = dynamics._decompose(idx, gen - sum(self.jumps))
+        jumps = [self.sandwich(ops[label]) for label in DETECTED]
+        b = self.block = dynamics._decompose(idx, gen - sum(jumps))
+        if b.vinv is None:
+            self.vecs = self.vinv = np.eye(idx.size)
+            self._slowest = 0.0
+        else:
+            self.vecs, self.vinv = b.vecs, b.vinv
+            self._slowest = float(np.max(b.evals.real))
+            self._shifted = b.evals - self._slowest
+        self.jumps = [self.to_modes(j) for j in jumps]
         # Row k gives Tr(J_k ρ J_k†); their sum is the click rate −P′.
-        self.emission = np.array([self.trace @ j for j in self.jumps])
-        self._probe = np.vstack([self.trace, -self.emission.sum(axis=0)])
-        if self.block.vinv is not None:
-            self._modal = self._probe @ self.block.vecs
-            self._slowest = float(np.max(self.block.evals.real))
-            self._shifted = self.block.evals - self._slowest
+        emission = np.array([trace @ j for j in jumps])
+        self.emission = emission @ self.vecs
+        rate = -emission.sum(axis=0)
+        # Rows giving P, P′ and P″ of a no-click state.
+        self._probe = np.vstack([trace, rate, rate @ b.gen]) @ self.vecs
         ground = model.space.index(hilbert.GROUND, 0)
-        self.ground = ((self._i == ground) & (self._j == ground)).astype(complex)
+        self.ground = self.vinv @ ((self._i == ground) & (self._j == ground)).astype(float)
 
     def sandwich(self, op: np.ndarray) -> np.ndarray:
         """ρ → op ρ op† on the k = 0 block, for an op that shifts N by a fixed amount."""
         return dynamics._kron_block(op, op.conj(), self._i, self._j)
 
-    def no_click(self, x: np.ndarray):
-        """Functions of s: (log P, P′/P) and the state e^{L₀s}x, for Tr x = 1.
+    def to_modes(self, m: np.ndarray) -> np.ndarray:
+        """V⁻¹MV: the map M on block entries, acting on the carried state."""
+        return self.vinv @ m @ self.vecs
 
-        log P is taken relative to the slowest mode of L₀, so that it stays
-        finite long after P itself would underflow.
+    def stretch(self, c: np.ndarray, s: float) -> np.ndarray:
+        """e^{(L₀ − λ_slow)s}c: the state after s with no click, times e^{−λ_slow s}.
+
+        λ_slow is the largest Re λ of L₀ (0 on the expm fallback).  The
+        scaling keeps the state finite long after P itself would underflow.
         """
-        b = self.block
-        if b.vinv is None:
-            def state(s):
-                return b.propagate(x, (s,))[0]
+        if self.block.vinv is None:
+            return scipy.linalg.expm(self.block.gen * s) @ c
+        return c * np.exp(self._shifted * s)
 
-            def prob(s):
-                p, dp = (self._probe @ state(s)).real
-                return (math.log(p), dp / p) if p > 0 else (-math.inf, 0.0)
-            return prob, state
-        c = b.vinv @ x
-        modal = self._modal * c
-        slowest, shifted = self._slowest, self._shifted
+    def _levels(self, y: np.ndarray, s: float) -> tuple:
+        """(log P, (log P)′, (log P)″) at s, for y = stretch(c, s) with Tr c = 1."""
+        # Python floats from here on: numpy scalar arithmetic is much slower.
+        q, d1, d2 = (self._probe @ y).real.tolist()
+        if not q > 0:
+            return -math.inf, 0.0, 0.0
+        d1 /= q
+        return self._slowest * s + math.log(q), d1, d2 / q - d1 * d1
 
-        def state(s):
-            return b.vecs @ (c * np.exp(b.evals * s))
+    def evaluate(self, c: np.ndarray, s: float) -> tuple:
+        """stretch(c, s) and (log P, (log P)′, (log P)″) there: one evaluation of P."""
+        y = self.stretch(c, s)
+        return y, self._levels(y, s)
 
-        def prob(s):
-            q, dq = (modal @ np.exp(shifted * s)).real
-            return (slowest * s + math.log(q), dq / q) if q > 0 else (-math.inf, 0.0)
-        return prob, state
+    def click_weights(self, y: np.ndarray) -> np.ndarray:
+        return (self.emission @ y).real
 
-    def click_weights(self, x: np.ndarray) -> np.ndarray:
-        return (self.emission @ x).real
-
-    @staticmethod
-    def click_time(prob, log_u: float, seg: float, end: tuple) -> float:
+    def _click_time(self, c: np.ndarray, log_u: float, seg: float, end: tuple) -> float:
         """The s in [0, seg] with log P(s) = log u, given P(0) = 1 > u > P(seg).
 
         Newton's method on f = log P − log u, exact for a single exponential.
-        It starts from s = 0 when a click can happen at once (P′(0) < 0),
-        otherwise from s = seg, where ``end`` holds prob(seg).  A step that
-        leaves the bracket, that f′ = 0 forbids, or that is not under half
-        the step before last is replaced by bisection, so the steps shrink
-        at least geometrically (rtsafe, Numerical Recipes §9.4).
+        f, f′ and f″ at s = 0 are read off c with no exponential; ``end``
+        holds them at seg.  Newton starts from 0 if its step from there lands
+        in [0, seg], otherwise from seg.  A step that leaves the bracket,
+        that f′ = 0 forbids, or that is not under half the step before last
+        is replaced by bisection, so the steps shrink at least geometrically
+        (rtsafe, Numerical Recipes §9.4).  The solve stops once a step is
+        under the tolerance, or once a Newton step is under 1e-3 s and the
+        error it leaves, about |f″/2f′|·step², is under a tenth of the
+        tolerance.
         """
         lo, hi = 0.0, seg
-        start = prob(0.0)
-        s, (f, df) = (0.0, start) if start[1] < 0 else (seg, end)
+        s, (f, df, ddf) = 0.0, self._levels(c, 0.0)
+        if not _lands(s, f - log_u, df, lo, hi):
+            s, (f, df, ddf) = seg, end
         f -= log_u
         step = before = math.inf
         while True:
-            # Newton lands in [lo, hi] iff these two differences differ in sign.
-            newton = (df < 0 and abs(2.0 * f) <= abs(before * df)
-                      and ((s - hi) * df - f) * ((s - lo) * df - f) <= 0)
+            newton = df < 0 and abs(2.0 * f) <= abs(before * df) and _lands(s, f, df, lo, hi)
             before = step
             if newton:
                 step = f / df
                 s -= step
+                if (abs(step) <= 1e-3 * s
+                        and abs(ddf / (2.0 * df)) * step * step <= 0.1 * _REL_TOL * s):
+                    return s
             else:
                 step = 0.5 * (hi - lo)
                 s = lo + step
             if abs(step) <= _REL_TOL * s:
                 return s
-            f, df = prob(s)
+            _, (f, df, ddf) = self.evaluate(c, s)
             f -= log_u
             if f > 0:
                 lo = s
             else:
                 hi = s
 
-    def advance(self, rng, x: np.ndarray, u: float, t: float, t_end: float,
+    def advance(self, rng, c: np.ndarray, u: float, t: float, t_end: float,
                 times: list, codes: list):
-        """Evolve x (unit trace) from t to t_end, recording each click.
+        """Evolve the state c (unit trace) from t to t_end, recording each click.
 
         ``u`` is the no-click probability at which the next click fires.
-        Returns x renormalized at t_end and u divided by the no-click
+        Returns c renormalized at t_end and u divided by the no-click
         probability of the last stretch, which keeps the waiting-time
         statistics exact across calls.
         """
         while True:
             seg = t_end - t
-            prob, state = self.no_click(x)
-            end = prob(seg)
             log_u = math.log(u)
+            y, end = self.evaluate(c, seg)
             if end[0] >= log_u:
-                p_end = math.exp(end[0])
-                return state(seg) / p_end, u / p_end
-            s = self.click_time(prob, log_u, seg, end)
-            x = state(s)
-            weights = self.click_weights(x)
-            total = weights.sum()
+                return y / (self._probe[0] @ y).real, u / math.exp(end[0])
+            s = self._click_time(c, log_u, seg, end)
+            y = self.stretch(c, s)
+            weights = self.click_weights(y).tolist()
+            total = sum(weights)
             if not total > 0:
                 raise NumericalError(f"no detected channel has weight at a click "
-                                     f"(t={t + s:.6g} ns, trace {(self.trace @ x).real:.3e})")
-            k = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
-            x = self.jumps[k] @ x / weights[k]
+                                     f"(t={t + s:.6g} ns, log P {self._levels(y, s)[0]:.3e})")
+            k = bisect.bisect_right(list(itertools.accumulate(weights)), rng.random() * total)
+            c = self.jumps[k] @ y / weights[k]
             t += s
             times.append(t)
             codes.append(k)
             u = rng.random()
+
+
+def _lands(s: float, f: float, df: float, lo: float, hi: float) -> bool:
+    """Whether the Newton step from s, s − f/f′, lies in [lo, hi]."""
+    return ((s - hi) * df - f) * ((s - lo) * df - f) <= 0
 
 
 def run_cw(p: SystemParams, detuning: Detuning | None = None,
@@ -277,7 +311,7 @@ def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
         replace(p, pump_GHz=0.0, feeder_pump_GHz=0.0), detuning))
     sigma = engine.model.space.sigma
     blocked = np.eye(sigma.shape[0]) - sigma @ sigma.conj().T
-    capture = engine.sandwich(sigma.conj().T) + engine.sandwich(blocked)
+    capture = engine.to_modes(engine.sandwich(sigma.conj().T) + engine.sandwich(blocked))
     rng = philox(seed, 0)
     period = pulses.rep_period_ns
     total = pulses.duration_ns
@@ -295,13 +329,13 @@ def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
     events = events[events < total]
     times: list[float] = []
     codes: list[int] = []
-    x, u, t = engine.ground, rng.random(), 0.0
+    c, u, t = engine.ground, rng.random(), 0.0
     for t_cap in events:
-        x, u = engine.advance(rng, x, u, t, t_cap, times, codes)
+        c, u = engine.advance(rng, c, u, t, t_cap, times, codes)
         # Trace-preserving and unobserved, so u carries across it.
-        x = capture @ x
+        c = capture @ c
         t = t_cap
-    engine.advance(rng, x, u, t, total, times, codes)
+    engine.advance(rng, c, u, t, total, times, codes)
     return ClickStream(np.asarray(times), np.asarray(codes, dtype=np.int16),
                        DETECTED, total)
 
@@ -322,17 +356,17 @@ def ensemble_populations(p: SystemParams, detuning: Detuning | None,
     op = np.asarray(operator)
     if np.any(op.reshape(-1)[engine.model.orders != 0]):
         raise ValueError("operator does not conserve the excitation number")
-    row = op.T.reshape(-1)[engine.block.idx]
+    row = op.T.reshape(-1)[engine.block.idx] @ engine.vecs
     t_grid = np.asarray(t_grid_ns, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("time grid must be non-empty, non-negative and non-decreasing")
     samples = np.empty((n_trajectories, t_grid.size))
     for i in range(n_trajectories):
         rng = philox(seed, i)
-        x, u, t = engine.ground, rng.random(), 0.0
+        c, u, t = engine.ground, rng.random(), 0.0
         for j, t_next in enumerate(t_grid):
-            x, u = engine.advance(rng, x, u, t, t_next, [], [])
-            samples[i, j] = (row @ x).real
+            c, u = engine.advance(rng, c, u, t, t_next, [], [])
+            samples[i, j] = (row @ c).real
             t = t_next
     return samples.mean(axis=0), samples.std(axis=0) / math.sqrt(n_trajectories)
 

@@ -97,6 +97,9 @@ class Detuning:
     lambda_ref_nm: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.dl_nm, self.dw_GHz, self.lambda_ref_nm))):
+            raise ValueError(f"detuning must be finite, got {self.dl_nm} nm, "
+                             f"{self.dw_GHz} GHz at {self.lambda_ref_nm} nm")
         if self.lambda_ref_nm <= 0:
             raise ValueError("reference wavelength must be positive")
         expected = detuning_to_frequency(self.dl_nm, self.lambda_ref_nm)

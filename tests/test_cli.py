@@ -273,6 +273,17 @@ def test_trajectory_zero_norm_exits_numeric(tmp_path, monkeypatch, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_isolated_feeder_level_named(tmp_path, capsys):
+    # with both feeder rates at their default 0 nothing enters or leaves the
+    # feeder level, so the steady state is not unique
+    assert run(["spectrum", "--mode", "master", "--set", "system.emitter_levels=3",
+                "--out", tmp_path / "s.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "degenerate steady state" in err
+    assert "feeder level is isolated" in err
+    assert "feeder_pump_GHz = 0" in err and "feeder_decay_GHz = 0" in err
+
+
 def test_lifetime_with_dark_exciton_channel(tmp_path):
     # at 2 nm the Purcell lifetime (8.9 ns) lies inside the 25 ns period
     assert run(["lifetime", "--dl-start", "2.0", "--dl-end", "2.1", "--steps", "2",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,9 @@ def test_far_state_enforced():
 def test_config_validation():
     with pytest.raises(ValueError):
         TelegraphConfig(resonant_fraction=1.2)
+    for offset in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TelegraphConfig(detuned_offset_GHz=offset)
 
 
 def test_default_shift_is_minus_twenty_g():

@@ -76,22 +76,191 @@ def test_ensemble_matches_master_equation():
     assert np.max(z) < 4.0
 
 
+# g = |gamma_x - gamma_m|/4 with no dephasing: a polariton pair of the
+# no-click generator coalesces and its eigenvector matrix is numerically
+# singular, so the engine runs on the model's expm fallback
+EXCEPTIONAL = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5,
+                           gamma_m_GHz=24.1, gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3)
+
+
 def test_ill_conditioned_drift_matches_expm():
-    # g = |gamma_x - gamma_m|/4 with no dephasing: a polariton pair of the
-    # no-click generator coalesces and its eigenvector matrix is numerically
-    # singular, so the engine runs on the model's expm fallback
-    p = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5,
-                     gamma_m_GHz=24.1, gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3)
-    engine = trajectories._Engine(dynamics.build_model(p, RES))
+    engine = trajectories._Engine(dynamics.build_model(EXCEPTIONAL, RES))
     block = engine.block
     assert block.cond > dynamics._COND_MAX
-    x = engine.sandwich(engine.model.space.sigma.conj().T) @ engine.ground
-    prob, state = engine.no_click(x)
-    assert math.exp(prob(0.0)[0]) == pytest.approx(1.0, abs=1e-12)
+    x = engine.sandwich(engine.model.space.sigma.conj().T) @ engine.vecs @ engine.ground
+    c = engine.vinv @ x
+    assert math.exp(engine._levels(c, 0.0)[0]) == pytest.approx(1.0, abs=1e-12)
+    trace = (engine._i == engine._j).astype(float)
     for dt in (0.01, 0.1):
         exact = scipy.linalg.expm(block.gen * dt) @ x
-        assert abs(math.exp(prob(dt)[0]) - (engine.trace @ exact).real) < 1e-9
-        assert np.max(np.abs(state(dt) - exact)) < 1e-9
+        p, dp, ddp = (trace @ np.linalg.matrix_power(block.gen, k) @ exact
+                      for k in range(3))
+        y, (log_p, dlog, curv) = engine.evaluate(c, dt)
+        assert abs(math.exp(log_p) - p.real) < 1e-9
+        assert abs(dlog - (dp / p).real) < 1e-9 * abs(dp / p)
+        assert abs(curv - (ddp / p - (dp / p) ** 2).real) < 1e-9 * abs(ddp / p)
+        state = engine.vecs @ y * math.exp(engine._slowest * dt)
+        assert np.max(np.abs(state - exact)) < 1e-9
+
+
+class _Reference:
+    """Reference engine on block entries x: rtsafe on log P over numpy
+    arrays, with P(0) evaluated and no curvature stop.  It has the interface
+    that run_cw and run_pulsed use, with V = I."""
+
+    def __init__(self, model):
+        self.model = model
+        idx, gen = model.generator(0)
+        self._i, self._j = np.divmod(idx, model.space.dim)
+        self.trace = (self._i == self._j).astype(float)
+        ops = {c.label: c.jump_operator for c in model.channels}
+        self.jumps = [self.sandwich(ops[label]) for label in trajectories.DETECTED]
+        self.block = dynamics._decompose(idx, gen - sum(self.jumps))
+        self.emission = np.array([self.trace @ j for j in self.jumps])
+        self._probe = np.vstack([self.trace, -self.emission.sum(axis=0)])
+        if self.block.vinv is not None:
+            self._modal = self._probe @ self.block.vecs
+            self._slowest = float(np.max(self.block.evals.real))
+            self._shifted = self.block.evals - self._slowest
+        ground = model.space.index(hilbert.GROUND, 0)
+        self.ground = ((self._i == ground) & (self._j == ground)).astype(complex)
+        self.vecs = np.eye(idx.size)
+
+    def sandwich(self, op):
+        return dynamics._kron_block(op, op.conj(), self._i, self._j)
+
+    def to_modes(self, m):
+        return m
+
+    def no_click(self, x):
+        b = self.block
+        if b.vinv is None:
+            def state(s):
+                return b.propagate(x, (s,))[0]
+
+            def prob(s):
+                p, dp = (self._probe @ state(s)).real
+                return (math.log(p), dp / p) if p > 0 else (-math.inf, 0.0)
+            return prob, state
+        c = b.vinv @ x
+        modal = self._modal * c
+        slowest, shifted = self._slowest, self._shifted
+
+        def state(s):
+            return b.vecs @ (c * np.exp(b.evals * s))
+
+        def prob(s):
+            q, dq = (modal @ np.exp(shifted * s)).real
+            return (slowest * s + math.log(q), dq / q) if q > 0 else (-math.inf, 0.0)
+        return prob, state
+
+    @staticmethod
+    def click_time(prob, log_u, seg, end):
+        lo, hi = 0.0, seg
+        start = prob(0.0)
+        s, (f, df) = (0.0, start) if start[1] < 0 else (seg, end)
+        f -= log_u
+        step = before = math.inf
+        while True:
+            newton = (df < 0 and abs(2.0 * f) <= abs(before * df)
+                      and ((s - hi) * df - f) * ((s - lo) * df - f) <= 0)
+            before = step
+            if newton:
+                step = f / df
+                s -= step
+            else:
+                step = 0.5 * (hi - lo)
+                s = lo + step
+            if abs(step) <= 1e-12 * s:
+                return s
+            f, df = prob(s)
+            f -= log_u
+            if f > 0:
+                lo = s
+            else:
+                hi = s
+
+    def advance(self, rng, x, u, t, t_end, times, codes):
+        while True:
+            seg = t_end - t
+            prob, state = self.no_click(x)
+            end = prob(seg)
+            log_u = math.log(u)
+            if end[0] >= log_u:
+                p_end = math.exp(end[0])
+                return state(seg) / p_end, u / p_end
+            s = self.click_time(prob, log_u, seg, end)
+            x = state(s)
+            weights = (self.emission @ x).real
+            k = int(np.searchsorted(np.cumsum(weights), rng.random() * weights.sum(),
+                                    side="right"))
+            x = self.jumps[k] @ x / weights[k]
+            t += s
+            times.append(t)
+            codes.append(k)
+            u = rng.random()
+
+
+# Configurations of the click-count checks below: the pulsed lifetime runs
+# near resonance (acceptance test 3), the single-photon source (test 6ii)
+# and the feeder cross-correlation (test 6iii).
+STRONG = SystemParams(g_GHz=20.7, pump_GHz=0.0, n_max=3)
+STRONG_PULSES = PulseConfig(rep_rate_MHz=80.0, mean_captures_per_pulse=1.0,
+                            capture_delay_ns=0.06, n_pulses=1000)
+SINGLE_DET = Detuning.from_nm(4.1, 942.5)
+SINGLE = SystemParams(g_GHz=0.0, gamma_x_GHz=0.2, gamma_b_GHz=0.2, pump_GHz=0.0,
+                      n_max=1).with_detuning(SINGLE_DET)
+SINGLE_PULSES = PulseConfig(rep_rate_MHz=40.0, mean_captures_per_pulse=0.3,
+                            capture_delay_ns=0.06, n_pulses=3000,
+                            allow_recapture=False)
+FEEDER_DET = Detuning.from_nm(4.1, 942.5)
+FEEDER = SystemParams(lambda_x_nm=946.6, g_GHz=20.7, gamma_x_GHz=0.015,
+                      gamma_m_GHz=24.1, gamma_b_GHz=0.015, pump_GHz=0.001,
+                      n_max=1, emitter_levels=3, feeder_pump_GHz=0.01,
+                      feeder_decay_GHz=1.0 / (TWO_PI * 1.3))
+
+REFERENCE_RUNS = {
+    "pulsed strong coupling": lambda: run_pulsed(STRONG, RES, STRONG_PULSES, seed=11),
+    "single photon": lambda: run_pulsed(SINGLE, SINGLE_DET, SINGLE_PULSES, seed=3),
+    "feeder cw": lambda: run_cw(FEEDER, FEEDER_DET, duration_ns=2e5, seed=64),
+    # on the expm fallback (see above); a CW pump would lift the coalescence
+    "exceptional point": lambda: run_pulsed(EXCEPTIONAL, RES, PulseConfig(n_pulses=400),
+                                            seed=5),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_engine_matches_reference(monkeypatch, name):
+    # The modal state, exact start and curvature stop change only rounding
+    # and where inside the 1e-12 tolerance the root solve stops.
+    run = REFERENCE_RUNS[name]
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(trajectories, "_Engine", _Reference)
+        want = run()
+    assert len(got) > 100
+    assert np.array_equal(got.channel_codes, want.channel_codes)
+    np.testing.assert_allclose(got.times_ns, want.times_ns, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name,bound", [("pulsed strong coupling", 6.0),
+                                        ("single photon", 1.1), ("feeder cw", 4.0)])
+def test_evaluations_per_click(monkeypatch, name, bound):
+    # Each pass of advance evaluates P once at the end of its stretch; every
+    # further evaluation is a step of the root solve.
+    calls = {"evaluate": 0, "advance": 0}
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            calls[method.__name__] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for method in (trajectories._Engine.evaluate, trajectories._Engine.advance):
+        monkeypatch.setattr(trajectories._Engine, method.__name__, counted(method))
+    clicks = len(REFERENCE_RUNS[name]())
+    solve = calls["evaluate"] - calls["advance"] - clicks
+    assert solve / clicks <= bound
 
 
 def test_ensemble_rejects_operator_changing_excitation_number():

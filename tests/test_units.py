@@ -98,6 +98,13 @@ class TestDetuningType:
         with pytest.raises(ValueError):
             Detuning(4.1, 999.0, 942.5)
 
+    @pytest.mark.parametrize("args", [(math.nan, 942.5), (math.inf, 942.5), (4.1, math.nan)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            Detuning.from_nm(*args)
+        with pytest.raises(ValueError, match="finite"):
+            Detuning.from_GHz(*args)
+
     def test_sign_convention(self):
         # cavity blue of the exciton: both positive
         d = Detuning.from_nm(4.1, 942.5)

@@ -298,6 +298,9 @@ def cmd_g2(args) -> int:
     if not (args.bin_ns > 0 and args.window_ns > args.bin_ns and args.duration_ns > 0):
         raise ConfigError("g2 needs --bin-ns > 0, --window-ns > --bin-ns "
                           "and --duration-ns > 0")
+    if args.window_ns / args.bin_ns > hbt.MAX_BINS_PER_SIDE:
+        raise ConfigError(f"g2 needs --window-ns / --bin-ns <= {hbt.MAX_BINS_PER_SIDE}, "
+                          f"got {args.window_ns / args.bin_ns:.3g}")
     cfg = load_config(args)
     det = _detuning(cfg, args.detuning_nm)
     p = cfg.system.with_detuning(det)

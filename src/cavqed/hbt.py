@@ -6,9 +6,12 @@ a finite window, CW g2 normalization, and pulsed peak-area analysis, which
 gives the pulsed g2.  Everything operates on plain sorted float arrays of
 click times in ns, so the same code digests simulated and imported data.
 
-The all-pairs histogram is one two-sided pass that streams pair delays into
-bin counts in fixed-size chunks and never holds a pair list, so its memory
-is bounded independently of the pair count.
+Both estimators take the starts in blocks of a fixed size and search only
+the slice of stops that a block can reach, and the all-pairs pass streams
+pair delays into bin counts in chunks of a fixed number of pairs.  No array
+grows with the click count or the pair count, so memory is bounded
+independently of both.  A histogram has at most ``MAX_BINS_PER_SIDE`` bins
+on each side of zero.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .dynamics import CorrelationTrace
 from .units import philox
 
 __all__ = [
+    "MAX_BINS_PER_SIDE",
     "Histogram",
     "PeakAreaReport",
     "split_beam",
@@ -31,8 +35,13 @@ __all__ = [
     "poisson_stream",
 ]
 
-# Pairs histogrammed per chunk of the all-pairs pass: bounds its working memory.
+# Pairs histogrammed per chunk of the all-pairs pass, and starts per block
+# of either estimator: together they bound the working memory.
 _CHUNK_PAIRS = 1 << 18
+_BLOCK = 1 << 13
+
+# Ceiling on window_ns / bin_ns, the bins on each side of zero.
+MAX_BINS_PER_SIDE = 10**6
 
 
 @dataclass
@@ -90,40 +99,77 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
 
     The search bounds are widened by 4 ulps of the largest time so that
     rounding of start ± window never drops a pair whose computed delay is in
-    range; ``np.histogram``'s range test on the delay then decides.  Pairs
-    are visited in chunks of ``_CHUNK_PAIRS``, cut anywhere in a start's run
-    of stops.
+    range; ``np.histogram``'s range test on the delay then decides.  Starts
+    are taken in blocks of ``_BLOCK``, each searching only the stops its
+    widened window reaches, and a block's pairs are visited in chunks of
+    ``_CHUNK_PAIRS``, cut anywhere in a start's run of stops.
     """
     scale = max(abs(starts[0]), abs(starts[-1]), abs(stops[0]), abs(stops[-1]),
                 edges[-1])
     reach = edges[-1] + 4 * np.spacing(scale)
-    first = np.searchsorted(stops, starts - reach, side="left")
-    n_pairs = np.searchsorted(stops, starts + reach, side="right") - first
-    busy = n_pairs > 0                  # so a chunk spans at most its pairs + 1 starts
-    starts, first, n_pairs = starts[busy], first[busy], n_pairs[busy]
-    ends = np.cumsum(n_pairs)           # one past the last pair of each start
-    begins = ends - n_pairs
-    shift = begins - first              # pair index - stop index within a run
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    total = int(n_pairs.sum())
-    for lo in range(0, total, _CHUNK_PAIRS):
-        hi = min(lo + _CHUNK_PAIRS, total)
-        # starts whose runs overlap pairs [lo, hi), each adding at least one
-        s0 = int(np.searchsorted(ends, lo, side="right"))
-        s1 = int(np.searchsorted(ends, hi, side="left")) + 1
-        take = np.minimum(ends[s0:s1], hi) - np.maximum(begins[s0:s1], lo)
-        owner = np.repeat(np.arange(s0, s1), take)
-        delays = stops[np.arange(lo, hi) - shift[owner]] - starts[owner]
-        counts += np.histogram(delays, bins=edges)[0]
+    for b in range(0, starts.size, _BLOCK):
+        block = starts[b:b + _BLOCK]
+        view = stops[np.searchsorted(stops, block[0] - reach, side="left"):
+                     np.searchsorted(stops, block[-1] + reach, side="right")]
+        first = np.searchsorted(view, block - reach, side="left")
+        n_pairs = np.searchsorted(view, block + reach, side="right") - first
+        busy = n_pairs > 0              # so a chunk spans at most its pairs + 1 starts
+        block, first, n_pairs = block[busy], first[busy], n_pairs[busy]
+        ends = np.cumsum(n_pairs)       # one past the last pair of each start
+        begins = ends - n_pairs
+        shift = begins - first          # pair index - stop index within a run
+        total = int(n_pairs.sum())
+        for lo in range(0, total, _CHUNK_PAIRS):
+            hi = min(lo + _CHUNK_PAIRS, total)
+            # starts whose runs overlap pairs [lo, hi), each adding at least one
+            s0 = int(np.searchsorted(ends, lo, side="right"))
+            s1 = int(np.searchsorted(ends, hi, side="left")) + 1
+            take = np.minimum(ends[s0:s1], hi) - np.maximum(begins[s0:s1], lo)
+            owner = np.repeat(np.arange(s0, s1), take)
+            delays = view[np.arange(lo, hi) - shift[owner]] - block[owner]
+            counts += np.histogram(delays, bins=edges)[0]
     return counts
 
 
-def _first_stops(starts: np.ndarray, stops: np.ndarray, window: float) -> np.ndarray:
-    """First stop at or after each start (classic TAC), within the window."""
-    idx = np.searchsorted(stops, starts, side="left")
-    valid = idx < stops.size
-    delays = stops[idx[valid]] - starts[valid]
-    return delays[delays <= window]
+def _first_stop_counts(starts: np.ndarray, stops: np.ndarray,
+                       edges: np.ndarray, sign: int) -> np.ndarray:
+    """Histogram of sign * (first stop at or after each start - start).
+
+    The classic TAC, in blocks of ``_BLOCK`` starts, each searching the
+    stops from its first start up to the first stop at or after its last
+    start.  ``sign`` -1 gives the mirrored side, which drops exact-zero
+    delays: those belong to the positive side only.
+    """
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    for b in range(0, starts.size, _BLOCK):
+        block = starts[b:b + _BLOCK]
+        view = stops[np.searchsorted(stops, block[0], side="left"):
+                     np.searchsorted(stops, block[-1], side="left") + 1]
+        idx = np.searchsorted(view, block, side="left")
+        has = idx < view.size
+        delays = view[idx[has]] - block[has]
+        if sign < 0:
+            delays = delays[delays > 0]
+        counts += np.histogram(sign * delays, bins=edges)[0]
+    return counts
+
+
+def _checked_stream(name: str, times_ns: np.ndarray) -> np.ndarray:
+    """The click times as floats, refused unless non-empty, finite and sorted.
+
+    Checked in overlapping blocks, so the check holds no temporary that grows
+    with the stream; NaN fails every comparison and so reads as unsorted.
+    """
+    times = np.asarray(times_ns, dtype=float)
+    if times.size == 0:
+        raise ValueError("both click streams must be non-empty")
+    for b in range(0, times.size, _BLOCK):
+        seg = times[b:b + _BLOCK + 1]
+        if not (np.all(seg[1:] >= seg[:-1])
+                and math.isfinite(seg[0]) and math.isfinite(seg[-1])):
+            raise ValueError(f"{name} must be finite and time-sorted")
+    return times
 
 
 def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
@@ -140,28 +186,31 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
     All-pairs counts every pair whose computed delay ``stop - start`` lies
     in the histogram range by ``np.histogram``'s rule (bins half-open, the
     last one closed).  Both signs come from one pass, so an exact-zero delay
-    counts once, in the bin starting at 0.  The pass works in chunks of a
-    fixed number of pairs, so its memory is bounded independently of the
-    pair count.
+    counts once, in the bin starting at 0; start-stop also counts it once,
+    on the positive side.  Both estimators work in blocks of a fixed number
+    of starts, and all-pairs in chunks of a fixed number of pairs, so memory
+    is bounded independently of the click count and the pair count.
+
+    Raises ``ValueError`` on an empty, unsorted or non-finite stream, on a
+    ``bin_ns`` or ``window_ns`` that is not finite or not in order, and when
+    ``window_ns / bin_ns`` exceeds ``MAX_BINS_PER_SIDE``.
     """
-    starts = np.asarray(starts_ns, dtype=float)
-    stops = np.asarray(stops_ns, dtype=float)
-    if starts.size == 0 or stops.size == 0:
-        raise ValueError("both click streams must be non-empty")
-    if np.any(np.diff(starts) < 0) or np.any(np.diff(stops) < 0):
-        raise ValueError("click streams must be time-sorted")
-    if bin_ns <= 0 or window_ns <= bin_ns:
-        raise ValueError("need bin_ns > 0 and window_ns > bin_ns")
+    starts = _checked_stream("starts_ns", starts_ns)
+    stops = _checked_stream("stops_ns", stops_ns)
+    if not (math.isfinite(bin_ns) and bin_ns > 0):
+        raise ValueError(f"bin_ns must be finite and > 0, got {bin_ns}")
+    if not (math.isfinite(window_ns) and window_ns > bin_ns):
+        raise ValueError(f"window_ns must be finite and > bin_ns, got {window_ns}")
+    if window_ns / bin_ns > MAX_BINS_PER_SIDE:
+        raise ValueError(f"window_ns / bin_ns = {window_ns / bin_ns:.3g} exceeds "
+                         f"{MAX_BINS_PER_SIDE} bins per side")
     n_bins = int(round(window_ns / bin_ns))
     edges = bin_ns * np.arange(-n_bins, n_bins + 1)
     if estimator == "all-pairs":
         counts = _all_pairs_counts(starts, stops, edges)
     elif estimator == "start-stop":
-        pos = _first_stops(starts, stops, edges[-1])
-        neg = _first_stops(stops, starts, edges[-1])
-        neg = neg[neg > 0]  # exact-zero pairs belong to the positive side only
-        counts = (np.histogram(pos, bins=edges)[0]
-                  + np.histogram(-neg, bins=edges)[0])
+        counts = (_first_stop_counts(starts, stops, edges, 1)
+                  + _first_stop_counts(stops, starts, edges, -1))
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     return Histogram(edges, counts, n_starts=starts.size, n_stops=stops.size)
@@ -175,8 +224,9 @@ def normalize_g2(h: Histogram, duration_ns: float) -> CorrelationTrace:
     recorded totals over the acquisition time.  The pulsed g2 comes with
     :func:`pulsed_peak_areas`.
     """
-    if duration_ns <= 0:
-        raise ValueError("cw normalization needs duration_ns > 0")
+    if not (math.isfinite(duration_ns) and duration_ns > 0):
+        raise ValueError(f"cw normalization needs a finite duration_ns > 0, "
+                         f"got {duration_ns}")
     denom = h.n_starts * (h.n_stops / duration_ns) * h.bin_width_ns
     if denom <= 0:
         raise ValueError("zero normalization: no uncorrelated coincidence level")
@@ -217,8 +267,9 @@ def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
 def poisson_stream(rate_per_ns: float, duration_ns: float, seed: int,
                    stream_index: int = 0) -> np.ndarray:
     """Homogeneous Poisson click times on [0, duration); the uncorrelated reference."""
-    if rate_per_ns <= 0 or duration_ns <= 0:
-        raise ValueError("rate and duration must be positive")
+    for name, value in (("rate_per_ns", rate_per_ns), ("duration_ns", duration_ns)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     rng = philox(seed, stream_index)
     n_expected = rate_per_ns * duration_ns
     gaps = rng.exponential(1.0 / rate_per_ns, size=int(n_expected + 6 * math.sqrt(n_expected) + 10))

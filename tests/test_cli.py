@@ -218,7 +218,10 @@ def test_g2_regression_cross(tmp_path):
     ["--method", "trajectories", "--duration-ns", "-5"],
     ["--method", "trajectories", "--window-ns", "-1"],
     ["--method", "trajectories", "--bin-ns", "0"],
-], ids=["regression-bin-0", "duration-negative", "window-negative", "bin-0"])
+    ["--method", "regression", "--window-ns", "1e13"],
+    ["--method", "trajectories", "--duration-ns", "2000", "--window-ns", "1e12"],
+], ids=["regression-bin-0", "duration-negative", "window-negative", "bin-0",
+        "regression-bins-over-ceiling", "trajectories-bins-over-ceiling"])
 def test_g2_bad_flag_value_exits_2(tmp_path, capsys, flags):
     assert run(["g2", "--seed", "3", *flags, "--out-prefix", tmp_path / "g"]) == 2
     assert "configuration error: g2 needs" in capsys.readouterr().err

@@ -142,6 +142,71 @@ class TestStartStopHistogram:
         assert whole.counts.sum() > 100 * 7  # many chunks, most cutting a run
         assert np.array_equal(chunked.counts, whole.counts)
 
+    @staticmethod
+    def _tied_runs(offset):
+        """Runs of equal starts and of equal stops, coincident with each
+        other, that cross the edges of blocks of 1 and of 7 starts."""
+        starts = offset + np.repeat([0.0, 1.0, 1.5, 5.0, 9.0], [5, 9, 4, 6, 3])
+        stops = offset + np.repeat([-2.0, 0.0, 1.0, 3.0, 5.0, 12.0],
+                                   [2, 3, 8, 2, 9, 1])
+        return starts, stops
+
+    @staticmethod
+    def _matrix_reference(starts, stops, edges, estimator):
+        """Either estimator from the full matrix of stop - start delays."""
+        after = stops[None, :] - starts[:, None]
+        if estimator == "all-pairs":
+            return np.histogram(after.ravel(), bins=edges)[0]
+        before = starts[None, :] - stops[:, None]
+        # first stop at or after each start, and first start at or after
+        # each stop, less the exact-zero delays that the positive side has
+        first_stop = np.where(after >= 0, after, np.inf).min(axis=1)
+        first_start = np.where(before >= 0, before, np.inf).min(axis=1)
+        first_start = first_start[first_start > 0]
+        return (np.histogram(first_stop[np.isfinite(first_stop)], bins=edges)[0]
+                + np.histogram(-first_start[np.isfinite(first_start)], bins=edges)[0])
+
+    @pytest.mark.parametrize("estimator", ["all-pairs", "start-stop"])
+    @pytest.mark.parametrize("offset", [0.0, 1e9])
+    @pytest.mark.parametrize("streams", ["edge-cases", "tied-runs"])
+    def test_block_boundaries(self, monkeypatch, streams, offset, estimator):
+        if streams == "edge-cases":
+            starts, stops = self._edge_case_streams(np.random.default_rng(14),
+                                                    0.5, 10.0, offset)
+        else:
+            starts, stops = self._tied_runs(offset)
+
+        def counts():
+            return start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0,
+                                        estimator=estimator).counts
+
+        whole = counts()
+        edges = 0.5 * np.arange(-20, 21)
+        assert whole[20] > 0  # coincident clicks land in the bin starting at 0
+        assert np.array_equal(whole, self._matrix_reference(starts, stops, edges,
+                                                            estimator))
+        for block in (1, 7):
+            monkeypatch.setattr(hbt, "_BLOCK", block)
+            assert np.array_equal(counts(), whole)
+
+    @pytest.mark.parametrize("estimator", ["all-pairs", "start-stop"])
+    def test_memory_bounded_in_click_count(self, estimator):
+        # 0.2 clicks/ns: 4e6 and 4e7 pairs in the window; no temporary may
+        # grow with the streams, only the inputs themselves
+        peaks = []
+        for n_clicks in (1e5, 1e6):
+            starts = poisson_stream(0.2, n_clicks / 0.2, seed=15, stream_index=0)
+            stops = poisson_stream(0.2, n_clicks / 0.2, seed=15, stream_index=1)
+            tracemalloc.start()
+            try:
+                start_stop_histogram(starts, stops, bin_ns=0.25, window_ns=100.0,
+                                     estimator=estimator)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 16e6
+        assert peaks[1] - peaks[0] < 1e6
+
     def test_all_pairs_memory_bounded(self):
         # ~1e7 pairs; holding them as a pair list would take hundreds of MB
         starts = poisson_stream(1.0, 1e5, seed=13, stream_index=0)
@@ -162,6 +227,23 @@ class TestStartStopHistogram:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             start_stop_histogram(np.array([2.0, 1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("name,value", [
+        ("starts_ns", [1.0, np.nan]), ("starts_ns", [np.nan]),
+        ("stops_ns", [2.0, np.inf]), ("stops_ns", [-np.inf, 2.0]),
+        ("bin_ns", np.nan), ("bin_ns", np.inf),
+        ("window_ns", np.nan), ("window_ns", np.inf),
+    ])
+    def test_non_finite_input_rejected(self, name, value):
+        args = {"starts_ns": [1.0, 3.0], "stops_ns": [2.0, 6.0, 10.0],
+                "bin_ns": 0.25, "window_ns": 100.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            start_stop_histogram(**args)
+
+    def test_bin_count_ceiling(self):
+        assert hbt.MAX_BINS_PER_SIDE == 10**6
+        with pytest.raises(ValueError, match="bins per side"):
+            start_stop_histogram([1.0], [2.0], bin_ns=1e-3, window_ns=1.5e3)
 
 
 class TestNormalizeG2:
@@ -184,6 +266,14 @@ class TestNormalizeG2:
         h = Histogram(np.array([-1.0, 0.0, 1.0]), np.array([1, 1]),
                       n_starts=10, n_stops=10)
         with pytest.raises(ValueError, match="duration_ns > 0"):
+            normalize_g2(h, duration_ns=duration)
+
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        h = Histogram(np.array([-1.0, 0.0, 1.0]), np.array([1, 1]),
+                      n_starts=10, n_stops=10)
+        with pytest.raises(ValueError, match="duration_ns"):
             normalize_g2(h, duration_ns=duration)
 
 
@@ -278,3 +368,12 @@ def test_poisson_stream_rate():
     s = poisson_stream(1e-2, 1e6, seed=9)
     assert abs(s.size - 1e4) < 4 * math.sqrt(1e4)
     assert np.all(np.diff(s) > 0)
+
+
+@pytest.mark.parametrize("name,rate,duration", [
+    ("rate_per_ns", math.nan, 1e3), ("rate_per_ns", math.inf, 1e3),
+    ("duration_ns", 0.1, math.inf), ("duration_ns", 0.1, math.nan),
+])
+def test_poisson_stream_non_finite_rejected(name, rate, duration):
+    with pytest.raises(ValueError, match=name):
+        poisson_stream(rate, duration, seed=1)

@@ -6,16 +6,19 @@ Each ``cavqed ...`` line (backslash continuations joined) runs as
 recipe can read the files an earlier one wrote.  The library example then
 runs as one ``python -c`` script in the same directory.
 
-    python scripts/readme_recipes.py
+    python scripts/readme_recipes.py [--keep DIR]
 
-The files go to a temporary directory removed afterwards.  The package is
-imported from this checkout's ``src``.  Finding no command, or no library
+The files go to a temporary directory removed afterwards, or with ``--keep``
+to DIR, which must be empty or new, so that the outputs of two checkouts can
+be compared with ``diff -r``.  The package is imported from this checkout's
+``src``.  Finding no command, or no library
 example, is a failure too, so a change to the README's format cannot turn
 the check into a no-op.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shlex
 import subprocess
@@ -56,14 +59,24 @@ def run_all(commands: list[list[str]], example: str, workdir: Path) -> int:
     return failed + (code != 0)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", metavar="DIR", type=Path,
+                        help="run in DIR, empty or new, and keep the files")
+    args = parser.parse_args(argv)
     commands, example = readme_commands(), library_example()
     if not commands or not example:
         print("no cavqed command in the README command-line block, or no "
               "README library example", file=sys.stderr)
         return 1
-    with tempfile.TemporaryDirectory() as tmp:
-        failed = run_all(commands, example, Path(tmp))
+    if args.keep:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        if any(args.keep.iterdir()):
+            parser.error(f"--keep directory {args.keep} is not empty")
+        failed = run_all(commands, example, args.keep.resolve())
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            failed = run_all(commands, example, Path(tmp))
     if failed:
         print(f"{failed} README recipe(s) failed", file=sys.stderr)
     return 1 if failed else 0

@@ -196,7 +196,11 @@ def cmd_spectrum(args) -> int:
     step_nm = max(cfg.instrument.spectral_resolution_pm * 1e-3 / 8.0, 1e-5)
     spec = _wavelength_grid_spectrum(spec, step_nm)
     if not args.no_instrument:
-        spec = instrument.convolve_spectrum(spec, cfg.instrument)
+        try:
+            spec = instrument.convolve_spectrum(spec, cfg.instrument)
+        except ValueError as exc:
+            raise ConfigError(f"instrument.spectral_resolution_pm = "
+                              f"{cfg.instrument.spectral_resolution_pm}: {exc}") from exc
     columns = {"wavelength_nm": spec.axis, "intensity": spec.intensity}
     for name, values in spec.components.items():
         columns[f"component_{name}"] = values
@@ -403,6 +407,10 @@ def _fit_from_csv(args, cfg: RunConfig) -> fitkit.FitResult:
 
 
 def cmd_fit(args) -> int:
+    for flag, value in (("--gaussian-fwhm-nm", args.gaussian_fwhm_nm),
+                        ("--irf-ps", args.irf_ps)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     cfg = load_config(args)
     try:
         result = _fit_from_csv(args, cfg)
@@ -496,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model", choices=list(_FIT_COLUMNS), required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--n-peaks", type=int, default=3)
+    sp.add_argument("--n-peaks", type=int, choices=[1, 2, 3], default=3)
     sp.add_argument("--gaussian-fwhm-nm", type=float, default=0.0,
                     help="lorentz fit: deconvolve this Gaussian response")
     sp.add_argument("--irf-ps", type=float, default=None,

@@ -207,6 +207,21 @@ def build_model(p: SystemParams, detuning: Detuning | None = None) -> _Model:
     return _Model(p, detuning, space, h_ang, collapse_channels(p, space))
 
 
+def _model_for(p: SystemParams, detuning: Detuning | None,
+               model: _Model | None) -> _Model:
+    """``model`` if it was built for ``p`` and a given ``detuning``, else a new one.
+
+    Raises ``ValueError`` for a model built for other parameters or another
+    detuning, whose physics would silently replace the requested one.
+    """
+    if model is None:
+        return build_model(p, detuning)
+    if model.params != p or (detuning is not None and model.detuning != detuning):
+        raise ValueError("model was built for other parameters or another detuning "
+                         "than the ones passed with it")
+    return model
+
+
 def _propagate(model: _Model, vec0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized states e^{Lt} vec0 for every t, shape (len(t), dim**2)."""
     out = np.zeros((t.size, vec0.size), dtype=complex)
@@ -236,8 +251,7 @@ def evolve(rho0: np.ndarray, p: SystemParams, t_grid_ns: np.ndarray,
     has shape (len(t_grid), dim, dim) and, when ``validate`` is set, every
     sample is checked for trace, hermiticity and positivity.
     """
-    if model is None:
-        model = build_model(p, detuning)
+    model = _model_for(p, detuning, model)
     t_grid = np.asarray(t_grid_ns, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
@@ -263,8 +277,7 @@ def steady_state(p: SystemParams, detuning: Detuning | None = None,
     one eigenvalue is zero (|λ| below 1e-12 of the largest, floor 1e-14), or
     when the residual exceeds 1e-10.
     """
-    if model is None:
-        model = build_model(p, detuning)
+    model = _model_for(p, detuning, model)
     return model.steady.copy()
 
 
@@ -336,8 +349,7 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None,
     ports are summed with their photon-flux weights, which is what a detector
     collecting both channels sees.  Output is normalized to unit peak.
     """
-    if model is None:
-        model = build_model(p, detuning)
+    model = _model_for(p, detuning, model)
     detuning = model.detuning
     grid = np.asarray(grid_GHz, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
@@ -397,8 +409,7 @@ def g2_auto(p: SystemParams, detuning: Detuning | None,
 
     Normalized by the squared steady-state intensity (the CW definition).
     """
-    if model is None:
-        model = build_model(p, detuning)
+    model = _model_for(p, detuning, model)
     tau = np.asarray(tau_grid_ns, dtype=float)
     if tau.ndim != 1 or tau.size == 0 or tau[0] < 0 or np.any(np.diff(tau) <= 0):
         raise ValueError("tau grid must be increasing and non-negative")
@@ -422,8 +433,7 @@ def g2_cross(p: SystemParams, detuning: Detuning | None,
     intensity a delay tau later; negative delays mirror the roles.  The
     supplied grid must be non-negative; the returned trace covers both signs.
     """
-    if model is None:
-        model = build_model(p, detuning)
+    model = _model_for(p, detuning, model)
     tau = np.asarray(tau_grid_ns, dtype=float)
     if tau.ndim != 1 or tau.size == 0 or tau[0] < 0 or np.any(np.diff(tau) <= 0):
         raise ValueError("tau grid must be increasing and non-negative")

@@ -7,11 +7,10 @@ gives the pulsed g2.  Everything operates on plain sorted float arrays of
 click times in ns, so the same code digests simulated and imported data.
 
 Both estimators take the starts in blocks of a fixed size and search only
-the slice of stops that a block can reach, and the all-pairs pass streams
-pair delays into bin counts in chunks of a fixed number of pairs.  No array
-grows with the click count or the pair count, so memory is bounded
-independently of both.  A histogram has at most ``MAX_BINS_PER_SIDE`` bins
-on each side of zero.
+the slice of stops that a block can reach; all-pairs then walks the runs
+of stops one lag at a time.  No array grows with the click count or the
+pair count, so memory is bounded independently of both.  A histogram has
+at most ``MAX_BINS_PER_SIDE`` bins on each side of zero.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ __all__ = [
     "poisson_stream",
 ]
 
-# Pairs histogrammed per chunk of the all-pairs pass, and starts per block
-# of either estimator: together they bound the working memory.
-_CHUNK_PAIRS = 1 << 18
-_BLOCK = 1 << 13
+# Starts per block of either estimator and clicks per block of the stream
+# check: the one size that bounds the working memory.
+_BLOCK = 1 << 15
 
 # Ceiling on window_ns / bin_ns, the bins on each side of zero.
 MAX_BINS_PER_SIDE = 10**6
@@ -100,9 +98,10 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
     The search bounds are widened by 4 ulps of the largest time so that
     rounding of start ± window never drops a pair whose computed delay is in
     range; ``np.histogram``'s range test on the delay then decides.  Starts
-    are taken in blocks of ``_BLOCK``, each searching only the stops its
-    widened window reaches, and a block's pairs are visited in chunks of
-    ``_CHUNK_PAIRS``, cut anywhere in a start's run of stops.
+    are taken in blocks of ``_BLOCK``, each start reaching a run of stops.
+    With the block sorted longest run first, pass m histograms the m-th stop
+    of every run longer than m: at most a block of delays per pass, and as
+    many passes as the block's longest run.
     """
     scale = max(abs(starts[0]), abs(starts[-1]), abs(stops[0]), abs(stops[-1]),
                 edges[-1])
@@ -113,22 +112,12 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
         view = stops[np.searchsorted(stops, block[0] - reach, side="left"):
                      np.searchsorted(stops, block[-1] + reach, side="right")]
         first = np.searchsorted(view, block - reach, side="left")
-        n_pairs = np.searchsorted(view, block + reach, side="right") - first
-        busy = n_pairs > 0              # so a chunk spans at most its pairs + 1 starts
-        block, first, n_pairs = block[busy], first[busy], n_pairs[busy]
-        ends = np.cumsum(n_pairs)       # one past the last pair of each start
-        begins = ends - n_pairs
-        shift = begins - first          # pair index - stop index within a run
-        total = int(n_pairs.sum())
-        for lo in range(0, total, _CHUNK_PAIRS):
-            hi = min(lo + _CHUNK_PAIRS, total)
-            # starts whose runs overlap pairs [lo, hi), each adding at least one
-            s0 = int(np.searchsorted(ends, lo, side="right"))
-            s1 = int(np.searchsorted(ends, hi, side="left")) + 1
-            take = np.minimum(ends[s0:s1], hi) - np.maximum(begins[s0:s1], lo)
-            owner = np.repeat(np.arange(s0, s1), take)
-            delays = view[np.arange(lo, hi) - shift[owner]] - block[owner]
-            counts += np.histogram(delays, bins=edges)[0]
+        runs = np.searchsorted(view, block + reach, side="right") - first
+        order = np.argsort(-runs)
+        block, first = block[order], first[order]
+        longer = block.size - np.cumsum(np.bincount(runs))  # runs longer than m
+        for m, k in enumerate(longer[:-1]):
+            counts += np.histogram(view[first[:k] + m] - block[:k], bins=edges)[0]
     return counts
 
 
@@ -188,8 +177,9 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
     last one closed).  Both signs come from one pass, so an exact-zero delay
     counts once, in the bin starting at 0; start-stop also counts it once,
     on the positive side.  Both estimators work in blocks of a fixed number
-    of starts, and all-pairs in chunks of a fixed number of pairs, so memory
-    is bounded independently of the click count and the pair count.
+    of starts, all-pairs in one pass per lag up to the block's longest run
+    of stops, so memory is bounded independently of the click count and
+    the pair count.
 
     Raises ``ValueError`` on an empty, unsorted or non-finite stream, on a
     ``bin_ns`` or ``window_ns`` that is not finite or not in order, and when

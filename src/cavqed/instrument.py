@@ -41,24 +41,32 @@ def convolve_spectrum(s: Spectrum, cfg: InstrumentConfig) -> Spectrum:
     """Blur a wavelength spectrum with the spectrometer's Gaussian response.
 
     Requires a uniform wavelength grid sampled at least four times per
-    resolution element; total area on the grid is preserved (to 1e-6 of
-    itself for spectra that vanish toward the grid edges).
+    resolution element and longer than the response cut at ±5 sigma; total
+    area on the grid is preserved (to 1e-6 of itself for spectra that vanish
+    toward the grid edges).  Raises ``ValueError`` otherwise.
     """
     if cfg.spectral_resolution_pm == 0:
         return s
     spec = s.to_wavelength()
     dx = np.diff(spec.axis)
-    step = float(dx[0])
+    step = float(dx[0]) if dx.size else math.inf
     if not np.allclose(dx, step, rtol=1e-6, atol=0):
         raise ValueError("convolution needs a uniform wavelength grid")
     res_nm = cfg.spectral_resolution_pm * 1e-3
+    sigma = res_nm * FWHM_TO_SIGMA
+    half = int(math.ceil(5.0 * sigma / step))
+    # np.convolve(mode="same") returns the longer of signal and kernel
+    if 2 * half + 1 >= spec.axis.size:
+        raise ValueError(
+            f"the {res_nm:.4g} nm instrument response, {10.0 * sigma:.4g} nm "
+            f"wide at ±5 sigma, is at least as wide as the "
+            f"{spec.axis[-1] - spec.axis[0]:.4g} nm grid"
+        )
     if step > res_nm / 4.0:
         raise ValueError(
             f"grid step {step:.4g} nm under-resolves the {res_nm:.4g} nm "
             "instrument response; need at least 4 samples per FWHM"
         )
-    sigma = res_nm * FWHM_TO_SIGMA
-    half = int(math.ceil(5.0 * sigma / step))
     offsets = step * np.arange(-half, half + 1)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()

@@ -137,6 +137,38 @@ def test_fit_layout_no_command_writes_exits_2(tmp_path, capsys, model, columns):
     assert not (tmp_path / "fit.csv").exists()
 
 
+@pytest.mark.parametrize("model, flags", [
+    ("lorentz", ["--n-peaks", "5"]),
+    ("lorentz", ["--n-peaks", "0"]),
+    ("lorentz", ["--gaussian-fwhm-nm", "-0.021"]),
+    ("decay", ["--irf-ps", "-70"]),
+], ids=["n-peaks-5", "n-peaks-0", "gaussian-fwhm-negative", "irf-negative"])
+def test_fit_bad_flag_value_exits_2(tmp_path, capsys, model, flags):
+    x = np.linspace(0.0, 10.0, 101)
+    columns = ({"wavelength_nm": 942.0 + 0.01 * x, "intensity": 1.0 / (1.0 + (x - 5.0) ** 2)}
+               if model == "lorentz" else {"tau_ns": x, "counts": 1e3 * np.exp(-x / 2.0)})
+    data, out = tmp_path / "data.csv", tmp_path / "fit.csv"
+    write_csv(data, columns, {})
+    try:
+        code = run(["fit", "--model", model, "--data", data, *flags, "--out", out])
+    except SystemExit as exc:  # argparse refuses a value outside the choices
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err or "invalid choice" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution_pm", ["300", "12000"])
+def test_spectrum_response_wider_than_grid_exits_2(tmp_path, capsys, resolution_pm):
+    assert run(["spectrum", "--set", f"instrument.spectral_resolution_pm={resolution_pm}",
+                "--out", tmp_path / "s.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: instrument.spectral_resolution_pm = {resolution_pm}" in err
+    assert "as wide as the" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_anticross_fit_round_trip(tmp_path):
     sweep = tmp_path / "anti.csv"
     fit_out = tmp_path / "anti_fit.csv"

@@ -532,3 +532,28 @@ def test_dark_cavity_rejected(pump, dw, n_max):
     grid = np.linspace(p.omega_m_GHz - 150, p.omega_m_GHz + 150, 4001)
     with pytest.raises(NumericalError, match="no emission"):
         emission_spectrum(p, det, grid, source="cavity", model=model)
+
+
+def test_mismatched_model_rejected():
+    # a model built for p1 would evaluate p1's physics for p2, whose cavity
+    # sits 0.5 nm away: the spectrum peak moved to the grid edge
+    p1 = PAPER.with_detuning(RES)
+    p2 = replace(p1, lambda_m_nm=p1.lambda_m_nm + 0.5)
+    det2 = Detuning.from_nm(0.1, 942.5)
+    m1 = dynamics.build_model(p1, RES)
+    grid = np.linspace(p2.omega_m_GHz - 150, p2.omega_m_GHz + 150, 4001)
+    tau = np.linspace(0, 1, 5)
+    rho0 = _pure(m1.space, hilbert.GROUND, 0)
+    calls = [
+        lambda p, det: evolve(rho0, p, tau, det, model=m1),
+        lambda p, det: steady_state(p, det, model=m1),
+        lambda p, det: emission_spectrum(p, det, grid, model=m1),
+        lambda p, det: g2_auto(p, det, tau, model=m1),
+        lambda p, det: g2_cross(p, det, tau, model=m1),
+    ]
+    for call in calls:
+        for p, det in ((p2, RES), (p2, None), (p1, det2)):
+            with pytest.raises(ValueError, match="model was built for other"):
+                call(p, det)
+        call(p1, RES)
+        call(p1, None)

@@ -133,15 +133,6 @@ class TestStartStopHistogram:
         assert np.array_equal(h.counts, ref)
         assert h.counts.dtype == np.int64
 
-    def test_chunk_boundaries_inside_runs(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        starts, stops = self._edge_case_streams(rng, 0.5, 10.0, 1e9)
-        whole = start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0)
-        monkeypatch.setattr(hbt, "_CHUNK_PAIRS", 7)
-        chunked = start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0)
-        assert whole.counts.sum() > 100 * 7  # many chunks, most cutting a run
-        assert np.array_equal(chunked.counts, whole.counts)
-
     @staticmethod
     def _tied_runs(offset):
         """Runs of equal starts and of equal stops, coincident with each
@@ -150,6 +141,18 @@ class TestStartStopHistogram:
         stops = offset + np.repeat([-2.0, 0.0, 1.0, 3.0, 5.0, 12.0],
                                    [2, 3, 8, 2, 9, 1])
         return starts, stops
+
+    @staticmethod
+    def _burst(rng, offset):
+        """Starts 25 ns apart, each with three stops in reach, and one start
+        amid a burst of 300 stops that no other start reaches: its run is a
+        hundred times longer than those of its block-mates."""
+        starts = offset + 25.0 * np.arange(-20, 21)
+        stops = np.concatenate([
+            (starts + rng.uniform(-8.0, 8.0, (3, starts.size))).ravel(),
+            offset + rng.uniform(-5.0, 5.0, 300), [offset],
+        ])
+        return starts, np.sort(stops)
 
     @staticmethod
     def _matrix_reference(starts, stops, edges, estimator):
@@ -168,13 +171,15 @@ class TestStartStopHistogram:
 
     @pytest.mark.parametrize("estimator", ["all-pairs", "start-stop"])
     @pytest.mark.parametrize("offset", [0.0, 1e9])
-    @pytest.mark.parametrize("streams", ["edge-cases", "tied-runs"])
+    @pytest.mark.parametrize("streams", ["edge-cases", "tied-runs", "burst"])
     def test_block_boundaries(self, monkeypatch, streams, offset, estimator):
+        rng = np.random.default_rng(14)
         if streams == "edge-cases":
-            starts, stops = self._edge_case_streams(np.random.default_rng(14),
-                                                    0.5, 10.0, offset)
-        else:
+            starts, stops = self._edge_case_streams(rng, 0.5, 10.0, offset)
+        elif streams == "tied-runs":
             starts, stops = self._tied_runs(offset)
+        else:
+            starts, stops = self._burst(rng, offset)
 
         def counts():
             return start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0,

@@ -67,6 +67,18 @@ class TestConvolveSpectrum:
         with pytest.raises(ValueError):
             convolve_spectrum(s, InstrumentConfig())
 
+    @pytest.mark.parametrize("n_samples", [1, 20, 47])
+    def test_response_as_wide_as_grid_rejected(self, n_samples):
+        # 21 pm at a 0.002 nm step: a 47-sample kernel, 0.0892 nm at ±5 sigma;
+        # np.convolve(mode="same") would return the kernel's length
+        lam = 942.5 + 0.002 * np.arange(n_samples)
+        s = Spectrum(lam, np.ones(n_samples), "wavelength_nm")
+        with pytest.raises(ValueError, match=r"the 0\.021 nm instrument response.*"
+                           rf"as wide as the {lam[-1] - lam[0]:.4g} nm grid"):
+            convolve_spectrum(s, InstrumentConfig())
+        wider = Spectrum(942.5 + 0.002 * np.arange(48), np.ones(48), "wavelength_nm")
+        assert convolve_spectrum(wider, InstrumentConfig()).intensity.shape == (48,)
+
     def test_peak_ordering_preserved(self):
         lam = np.arange(941.5, 943.5, 0.001)
         y = (0.3 / (1 + ((lam - 942.3) / 0.03) ** 2)

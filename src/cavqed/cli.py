@@ -11,6 +11,11 @@ dataclasses; any value can be overridden from the command line with
 ``--set section.key=value``.  Exit codes: 0 success, 2 configuration or
 usage error, 3 numerical failure.  Every stochastic command requires a
 seed.  A CW trajectory ``g2`` simulates one emitter for ``--duration-ns``.
+A trajectory ``lifetime`` point is the maximum-likelihood lifetime of the
+clicks folded onto one repetition period, read off their mean folded time;
+it exits 3 when that lifetime is not below the period.  ``spectrum``
+resamples onto the spectrometer's wavelength step only to convolve; with
+``--no-instrument`` it writes the computed grid.
 """
 
 from __future__ import annotations
@@ -193,9 +198,12 @@ def cmd_spectrum(args) -> int:
                                           mode="master" if not args.fast else "fast")
     else:
         raise ConfigError(f"unknown spectrum mode {args.mode}")
-    step_nm = max(cfg.instrument.spectral_resolution_pm * 1e-3 / 8.0, 1e-5)
-    spec = _wavelength_grid_spectrum(spec, step_nm)
-    if not args.no_instrument:
+    if args.no_instrument:
+        spec = spec.to_wavelength()
+    else:
+        # The convolution needs a uniform wavelength grid at the spectrometer step.
+        step_nm = max(cfg.instrument.spectral_resolution_pm * 1e-3 / 8.0, 1e-5)
+        spec = _wavelength_grid_spectrum(spec, step_nm)
         try:
             spec = instrument.convolve_spectrum(spec, cfg.instrument)
         except ValueError as exc:
@@ -255,28 +263,28 @@ def _lifetime_point(cfg: RunConfig, dl: float, method: str, seed) -> float:
     p, det = _params_at(cfg, dl)
     if method == "formula":
         return purcell_lifetime(p, det).tau_ns
-    pulses = cfg.pulses
-    clicks = trajectories.run_pulsed(p, det, pulses, seed=seed)
-    # Collected PL = both radiative channels; fit the folded decay curve.
-    times = clicks.times_ns
+    # Collected PL = both radiative channels, folded onto one period [0, T).
+    times = trajectories.run_pulsed(p, det, cfg.pulses, seed=seed).times_ns
     if times.size < 100:
         raise dynamics.NumericalError(
             f"only {times.size} clicks at detuning {dl} nm; increase n_pulses")
-    merged = trajectories.ClickStream(
-        times, np.zeros(times.size, dtype=np.int16), ("pl",),
-        clicks.duration_ns)
-    bin_ns = max(pulses.rep_period_ns / 2500.0, 2e-3)
-    hist = trajectories.lifetime_from_clicks(merged, "pl",
-                                             pulses.rep_period_ns, bin_ns=bin_ns)
-    fit = fitkit.fit_decay(hist, "mono")
-    tau = fit.params["tau_ns"]
-    # The folded decay cannot tell a tau beyond the period from a flat background.
-    if not (fit.converged and bin_ns < tau < pulses.rep_period_ns):
+    period = cfg.pulses.rep_period_ns
+    mean = float(np.mean(np.mod(times, period)))
+
+    # Mean of e^{-t/tau} folded onto [0, T), tau - T/(e^{T/tau} - 1): it rises
+    # from 0 to T/2, and the maximum-likelihood tau makes it the clicks' mean.
+    def folded_mean(tau):
+        return tau + period / math.expm1(-period / tau) + period
+
+    if not 0 < mean < folded_mean(period):
         raise dynamics.NumericalError(
-            f"lifetime fit at detuning {dl} nm gave tau = {tau:.3g} ns ({fit.message}); "
-            f"need a converged value between the bin width {bin_ns:.3g} ns "
-            f"and the repetition period {pulses.rep_period_ns:.3g} ns")
-    return tau
+            f"mean folded click time {mean:.3g} ns at detuning {dl} nm gives a "
+            f"lifetime at or beyond the repetition period {period:.3g} ns")
+    lo, hi = mean, period  # folded_mean(tau) < tau, so tau lies above the mean
+    for _ in range(60):  # bisection on log tau
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if folded_mean(mid) > mean else (mid, hi)
+    return math.sqrt(lo * hi)
 
 
 def cmd_lifetime(args) -> int:
@@ -458,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="diffused mode: closed-form regime spectra")
     sp.add_argument("--points", type=int, default=4001)
     sp.add_argument("--no-instrument", action="store_true",
-                    help="skip the spectrometer convolution")
+                    help="skip the spectrometer: write the computed grid, "
+                         "in wavelength")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_spectrum)
 

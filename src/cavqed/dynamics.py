@@ -14,8 +14,10 @@ L_k from pieces of H and the jump operators and diagonalizes it, L_k = V Λ V⁻
 
 Where a block's cond(V) exceeds ``_COND_MAX`` (near an exceptional point),
 propagation there falls back to ``scipy.linalg.expm`` and the spectrum to a
-direct solve of (2πiΔν − L_k).  The steady state is the k = 0 block's one
-zero-eigenvalue mode, read off the same decomposition and cached on the model.
+direct solve of (2πiΔν − L_k).  Spectra and correlations are summed over
+slices of ``_ROWS`` grid points, so their temporaries stay bounded however
+long the grid.  The steady state is the k = 0 block's one zero-eigenvalue
+mode, read off the same decomposition and cached on the model.
 
 Frequencies are ordinary GHz, times ns; the generator itself is in rad/ns.
 """
@@ -61,6 +63,9 @@ _UNDAMPED_REL = 1e-9
 _UNDAMPED_WEIGHT = 1e-9
 # Mean population below which an output port is dark (ρss rounding is ~1e-15).
 _DARK = 1e-12
+# Grid rows per slice of a spectrum or correlation sum, which bounds their
+# (rows × modes) temporaries and the expm fallback's (rows × entries) array.
+_ROWS = 4096
 
 
 class NumericalError(RuntimeError):
@@ -304,6 +309,11 @@ def _check_undamped(weight: float, total: float, label: str) -> None:
         )
 
 
+def _row_slices(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_ROWS`` rows that cover ``n`` grid rows."""
+    return [slice(s, s + _ROWS) for s in range(0, n, _ROWS)]
+
+
 def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
                z: np.ndarray, label: str) -> np.ndarray:
     """Tr(op† (z − L)⁻¹ (op rho_ss)) at every z, the stationary part removed."""
@@ -317,7 +327,9 @@ def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
             w = (probe @ b.vecs) * (b.vinv @ x)
             undamped = b.evals.real >= -_UNDAMPED_REL * float(np.max(np.abs(b.evals)))
             _check_undamped(float(np.sum(np.abs(w[undamped]))), float(np.sum(np.abs(w))), label)
-            total += (1.0 / np.subtract.outer(z, b.evals[~undamped])) @ w[~undamped]
+            evals, w = b.evals[~undamped], w[~undamped]
+            for rows in _row_slices(z.size):
+                total[rows] += (1.0 / np.subtract.outer(z[rows], evals)) @ w
             continue
         # Direct solve.  Subtracting the stationary part leaves a traceless
         # right-hand side, on which adding rho_ss ⊗ Tr leaves (z − L)⁻¹
@@ -330,7 +342,8 @@ def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
         rhs = x - stationary * rho_vec
         base = np.outer(rho_vec, trace_row) - b.gen
         ident = np.eye(b.idx.size)
-        total += [probe @ np.linalg.solve(base + zi * ident, rhs) for zi in z]
+        for rows in _row_slices(z.size):
+            total[rows] += [probe @ np.linalg.solve(base + zi * ident, rhs) for zi in z[rows]]
     return total
 
 
@@ -395,10 +408,12 @@ def _propagate_probe(model: _Model, x0: np.ndarray, probe: np.ndarray,
     for k in np.unique(model.orders[x0 != 0]):
         b = model.block(k)
         x, pr = x0[b.idx], probe[b.idx]
-        if b.vinv is None:
-            total += b.propagate(x, tau_grid) @ pr
-        else:
-            total += np.exp(np.outer(tau_grid, b.evals)) @ ((pr @ b.vecs) * (b.vinv @ x))
+        w = None if b.vinv is None else (pr @ b.vecs) * (b.vinv @ x)
+        for rows in _row_slices(tau_grid.size):
+            if w is None:
+                total[rows] += b.propagate(x, tau_grid[rows]) @ pr
+            else:
+                total[rows] += np.exp(np.outer(tau_grid[rows], b.evals)) @ w
     return total
 
 

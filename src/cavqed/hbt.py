@@ -8,9 +8,10 @@ click times in ns, so the same code digests simulated and imported data.
 
 Both estimators take the starts in blocks of a fixed size and search only
 the slice of stops that a block can reach; all-pairs then walks the runs
-of stops one lag at a time.  No array grows with the click count or the
-pair count, so memory is bounded independently of both.  A histogram has
-at most ``MAX_BINS_PER_SIDE`` bins on each side of zero.
+of stops one lag at a time, gathering short lags in one buffer of a block
+of delays.  No array grows with the click count or the pair count, so
+memory is bounded independently of both.  A histogram has at most
+``MAX_BINS_PER_SIDE`` bins on each side of zero.
 """
 
 from __future__ import annotations
@@ -99,14 +100,17 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
     rounding of start ± window never drops a pair whose computed delay is in
     range; ``np.histogram``'s range test on the delay then decides.  Starts
     are taken in blocks of ``_BLOCK``, each start reaching a run of stops.
-    With the block sorted longest run first, pass m histograms the m-th stop
-    of every run longer than m: at most a block of delays per pass, and as
-    many passes as the block's longest run.
+    With the block sorted longest run first, lag m takes the m-th stop of
+    every run longer than m: at most a block of delays.  Lags that fall
+    short of a block share a buffer of ``_BLOCK`` delays, histogrammed when
+    the next lag would overflow it, so a small dense call makes few
+    ``np.histogram`` calls; a full block's lag is histogrammed in place.
     """
     scale = max(abs(starts[0]), abs(starts[-1]), abs(stops[0]), abs(stops[-1]),
                 edges[-1])
     reach = edges[-1] + 4 * np.spacing(scale)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
+    pending, fill = np.empty(_BLOCK), 0
     for b in range(0, starts.size, _BLOCK):
         block = starts[b:b + _BLOCK]
         view = stops[np.searchsorted(stops, block[0] - reach, side="left"):
@@ -117,7 +121,15 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
         block, first = block[order], first[order]
         longer = block.size - np.cumsum(np.bincount(runs))  # runs longer than m
         for m, k in enumerate(longer[:-1]):
-            counts += np.histogram(view[first[:k] + m] - block[:k], bins=edges)[0]
+            if k == _BLOCK:
+                counts += np.histogram(view[first + m] - block, bins=edges)[0]
+                continue
+            if fill + k > _BLOCK:
+                counts += np.histogram(pending[:fill], bins=edges)[0]
+                fill = 0
+            np.subtract(view[first[:k] + m], block[:k], out=pending[fill:fill + k])
+            fill += k
+    counts += np.histogram(pending[:fill], bins=edges)[0]
     return counts
 
 
@@ -177,9 +189,9 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
     last one closed).  Both signs come from one pass, so an exact-zero delay
     counts once, in the bin starting at 0; start-stop also counts it once,
     on the positive side.  Both estimators work in blocks of a fixed number
-    of starts, all-pairs in one pass per lag up to the block's longest run
-    of stops, so memory is bounded independently of the click count and
-    the pair count.
+    of starts, all-pairs lag by lag up to the block's longest run of stops
+    through a buffer of a block of delays, so memory is bounded
+    independently of the click count and the pair count.
 
     Raises ``ValueError`` on an empty, unsorted or non-finite stream, on a
     ``bin_ns`` or ``window_ns`` that is not finite or not in order, and when

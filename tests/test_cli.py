@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cavqed import csvio, dynamics, fitkit, trajectories
+from cavqed import csvio, dynamics, trajectories
 from cavqed.cli import main
 from cavqed.csvio import read_csv, write_csv
 from cavqed.instrument import InstrumentConfig
@@ -327,24 +327,48 @@ def test_lifetime_with_dark_exciton_channel(tmp_path):
                 "--out", tmp_path / "t.csv"]) == 0
 
 
-# tau = 25 ns is the default repetition period, 3.59e6 ns what the fit read
-# at 4 nm with a dark exciton channel (Purcell lifetime 35.5 ns)
-@pytest.mark.parametrize("tau_ns,converged", [(1.0, False), (7.36e-05, True),
-                                               (float("nan"), True), (25.0, True),
-                                               (3.59e6, True)])
-def test_lifetime_rejects_unchecked_fit(tmp_path, monkeypatch, capsys,
-                                        tau_ns, converged):
-    def fake_fit(hist, model):
-        return fitkit.FitResult(params={"tau_ns": tau_ns}, stderr={},
-                                residual_norm=0.0, n_iterations=1,
-                                converged=converged, message="stub")
+def _stub_run_pulsed(monkeypatch, folded_ns, period_ns=25.0):
+    """Make ``run_pulsed`` return clicks with these folded times, one per pulse."""
+    n = folded_ns.size
+    times = np.arange(n) * period_ns + folded_ns
+    stream = trajectories.ClickStream(times, np.zeros(n, np.int16),
+                                      trajectories.DETECTED, n * period_ns)
+    monkeypatch.setattr(trajectories, "run_pulsed", lambda *a, **k: stream)
 
-    monkeypatch.setattr(fitkit, "fit_decay", fake_fit)
-    assert run(["lifetime", "--dl-start", "4.1", "--dl-end", "4.1", "--steps", "1",
-                "--method", "trajectories", "--seed", "7",
-                "--set", "pulses.n_pulses=300", "--out", tmp_path / "t.csv"]) == 3
-    assert "lifetime fit at detuning 4.1 nm" in capsys.readouterr().err
-    assert not (tmp_path / "t.csv").exists()
+
+def _lifetime_once(out, *extra):
+    return run(["lifetime", "--dl-start", "1.0", "--dl-end", "1.0", "--steps", "1",
+                "--method", "trajectories", "--seed", "3", *extra, "--out", out])
+
+
+def test_lifetime_reads_folded_exponential(tmp_path, monkeypatch):
+    # e^{-t/tau} folded onto the default 25 ns period, by inverse transform
+    tau, period, n = 2.0, 25.0, 5000
+    u = np.random.default_rng(5).random(n)
+    _stub_run_pulsed(monkeypatch, -tau * np.log1p(u * math.expm1(-period / tau)))
+    out = tmp_path / "t.csv"
+    assert _lifetime_once(out) == 0
+    _, cols = read_csv(out)
+    assert abs(cols["tau_ns"][0] - tau) < 3 * tau / math.sqrt(n)
+
+
+def test_lifetime_beyond_period_exits_3(tmp_path, monkeypatch, capsys):
+    # Uniform folded times: a flat decay, so no finite lifetime fits.
+    _stub_run_pulsed(monkeypatch, np.random.default_rng(6).uniform(0, 25.0, 5000))
+    assert _lifetime_once(tmp_path / "t.csv") == 3
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and "repetition period 25 ns" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_lifetime_sparse_run_is_finite(tmp_path):
+    # About 190 clicks: too few for a fine folded histogram to hold tau
+    # against a free flat background.
+    out = tmp_path / "t.csv"
+    assert _lifetime_once(out, "--set", "system.gamma_b_GHz=0",
+                          "--set", "pulses.n_pulses=300") == 0
+    _, cols = read_csv(out)
+    assert 1.0 < cols["tau_ns"][0] < 2.5
 
 
 def test_cross_g2_with_dark_exciton_channel(tmp_path, capsys):
@@ -530,9 +554,22 @@ def _instrument(tmp_path):
 
 
 def _no_instrument(tmp_path):
-    out = tmp_path / "s.csv"
-    assert run(["spectrum", "--detuning-nm", "0", "--no-instrument", "--out", out]) == 0
-    assert read_csv(out)[0]["instrument"] == "off"
+    # The spectrometer setting must not thin a spectrum it does not convolve:
+    # at 12000 pm its step would leave one row.
+    columns = []
+    for resolution_pm in ("21", "12000"):
+        out = tmp_path / f"s{resolution_pm}.csv"
+        assert run(["spectrum", "--detuning-nm", "0", "--no-instrument", "--points", "301",
+                    "--set", f"instrument.spectral_resolution_pm={resolution_pm}",
+                    "--out", out]) == 0
+        meta, cols = read_csv(out)
+        assert meta["instrument"] == "off"
+        columns.append(cols)
+    lam = columns[0]["wavelength_nm"]
+    assert lam.size == 301 and np.all(np.diff(lam) > 0)
+    assert lam[0] < 942.5 < lam[-1]
+    for name in columns[0]:
+        assert np.array_equal(columns[0][name], columns[1][name])
 
 
 def _points(tmp_path):

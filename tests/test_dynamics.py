@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -557,3 +558,51 @@ def test_mismatched_model_rejected():
                 call(p, det)
         call(p1, RES)
         call(p1, None)
+
+
+@pytest.mark.parametrize("cond_max", [dynamics._COND_MAX, 0.0], ids=["modal", "fallback"])
+def test_row_slices_leave_sums_unchanged(monkeypatch, cond_max):
+    # Slices of 7 grid rows, the last one partial, against one slice of all.
+    monkeypatch.setattr(dynamics, "_COND_MAX", cond_max)
+    det = Detuning.from_nm(0.3, 942.5)
+    p = PAPER.with_detuning(det)
+    grid = np.linspace(p.omega_m_GHz - 150, p.omega_m_GHz + 150, 401)
+    tau = np.linspace(0.0, 5.0, 101)
+
+    def sums():
+        model = dynamics.build_model(p, det)
+        spec = emission_spectrum(p, det, grid, model=model)
+        return [spec.intensity, *spec.components.values(),
+                g2_auto(p, det, tau, model=model).values,
+                g2_cross(p, det, tau, model=model).values]
+
+    whole = sums()
+    monkeypatch.setattr(dynamics, "_ROWS", 7)
+    for sliced, ref in zip(sums(), whole, strict=True):
+        assert np.array_equal(sliced, ref)
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "g2"])
+def test_memory_bounded_in_grid_size(kind):
+    # 3-level, n_max = 5: the k = -1 block has 45 modes, so (points x modes)
+    # complex temporaries over a whole grid would take about 1.5 kB per point.
+    p = replace(PAPER, emitter_levels=3, feeder_pump_GHz=0.01, feeder_decay_GHz=0.1224)
+    model = dynamics.build_model(p, RES)
+    small, large = 20_000, 200_000
+
+    def peak(n):
+        if kind == "spectrum":
+            call, grid = emission_spectrum, p.omega_m_GHz + np.linspace(-400.0, 400.0, n)
+        else:
+            call, grid = g2_auto, np.linspace(0.0, 20.0, n)
+        call(p, RES, grid, model=model)  # decompose the blocks outside the measurement
+        tracemalloc.start()
+        try:
+            call(p, RES, grid, model=model)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The arrays over the grid (the frequencies or delays, the complex sum,
+    # the parts and the normalized outputs) hold under 8 float64 per point.
+    assert peak(large) - peak(small) < 8 * 8 * (large - small) + 2e6

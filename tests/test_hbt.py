@@ -155,6 +155,14 @@ class TestStartStopHistogram:
         return starts, np.sort(stops)
 
     @staticmethod
+    def _dense(rng, offset):
+        """400 clicks per stream within 30 ns: about 9e4 pairs in reach, so
+        the lags of one block overflow the delay buffer at the default
+        ``_BLOCK`` as well as at small ones."""
+        return (offset + np.sort(rng.uniform(-15.0, 15.0, 400)),
+                offset + np.sort(rng.uniform(-15.0, 15.0, 400)))
+
+    @staticmethod
     def _matrix_reference(starts, stops, edges, estimator):
         """Either estimator from the full matrix of stop - start delays."""
         after = stops[None, :] - starts[:, None]
@@ -171,15 +179,17 @@ class TestStartStopHistogram:
 
     @pytest.mark.parametrize("estimator", ["all-pairs", "start-stop"])
     @pytest.mark.parametrize("offset", [0.0, 1e9])
-    @pytest.mark.parametrize("streams", ["edge-cases", "tied-runs", "burst"])
+    @pytest.mark.parametrize("streams", ["edge-cases", "tied-runs", "burst", "dense"])
     def test_block_boundaries(self, monkeypatch, streams, offset, estimator):
         rng = np.random.default_rng(14)
         if streams == "edge-cases":
             starts, stops = self._edge_case_streams(rng, 0.5, 10.0, offset)
         elif streams == "tied-runs":
             starts, stops = self._tied_runs(offset)
-        else:
+        elif streams == "burst":
             starts, stops = self._burst(rng, offset)
+        else:
+            starts, stops = self._dense(rng, offset)
 
         def counts():
             return start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0,

@@ -3,7 +3,10 @@
 The Levenberg-Marquardt core is self-contained (damping 1e-3 start, x10 on
 rejection, /10 on acceptance, Marquardt diagonal scaling) and accepts an
 analytic Jacobian or falls back to central differences with a 1e-6 relative
-step.  On top of it sit the four models the analysis pipeline needs:
+step.  It stops once an accepted step lowers the cost by less than 1e-10
+relative, just above the rounding noise of a cost summed over 10^2-10^3 rows
+(MINPACK's cost-reduction test; scipy's ``least_squares`` defaults to 1e-8).
+On top of it sit the four models the analysis pipeline needs:
 
 * multi-Lorentzian (optionally Gaussian-blurred, i.e. Voigt) spectra,
 * polariton anti-crossing peak positions versus detuning,
@@ -11,7 +14,8 @@ step.  On top of it sit the four models the analysis pipeline needs:
 * (IRF-convolved) exponential decays as Poisson maximum likelihood.
 
 Decay fits minimize the Poisson deviance, which is exact maximum likelihood
-for counting data while reusing the least-squares machinery.
+for counting data while reusing the least-squares machinery; they pass their
+analytic Jacobian, chained through the model mean.
 """
 
 from __future__ import annotations
@@ -77,8 +81,12 @@ def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
     and moves by factors of 10; a step is accepted only if it lowers the sum
     of squares, so the residual norm is non-increasing over accepted steps.
     Converged: gradient below 1e-12 max(1, cost), or an accepted step with
-    relative cost drop < 1e-14 or relative move < 1e-12.  Not converged: 200
+    relative cost drop < 1e-10 or relative move < 1e-12.  Not converged: 200
     iterations, or a stall where no damping up to 1e12 lowers the cost.
+    The 1e-10 sits above the rounding noise of a cost summed over hundreds
+    of rows, where a tighter stop lets rounding decide and fits zigzag up to
+    the iteration cap, and below scipy ``least_squares``' default ``ftol``
+    of 1e-8.
     ``n_data`` overrides the row count used for the covariance scale when the
     residual vector carries extra constraint rows.
     """
@@ -111,7 +119,7 @@ def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
                 x, r, cost = x_new, r_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if rel_drop < 1e-14 or rel_step < 1e-12:
+                if rel_drop < 1e-10 or rel_step < 1e-12:
                     converged, message = True, "cost change below tolerance"
                 break
             lam *= 10.0
@@ -441,19 +449,34 @@ def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
 # exponential decays (Poisson maximum likelihood)
 # ---------------------------------------------------------------------------
 
-def _decay_kernel(t, tau, t0, sigma):
-    """Exponential decay starting at t0, optionally Gaussian-blurred."""
+def _decay_kernel(t, tau, t0, sigma, grad=False):
+    """Exponential decay starting at t0, optionally Gaussian-blurred.
+
+    With ``grad`` returns (K, dK/dtau, dK/dt0).  The kernel uses |tau|, so
+    dK/dtau carries sign(tau); with blur, dK/dt0 = K/tau - G and
+    dK/dtau = K (u/tau^2 - sigma^2/tau^3) + sigma^2 G / tau^2, where
+    u = t - t0 and G is the unit-area Gaussian of width sigma at u.
+    """
+    sign = math.copysign(1.0, tau) if abs(tau) > 1e-9 else 0.0
     tau = max(abs(tau), 1e-9)
+    u = t - t0
     if sigma <= 0:
-        u = t - t0
-        return np.where(u >= 0, np.exp(-np.clip(u, 0, None) / tau), 0.0)
-    arg = (sigma / tau - (t - t0) / sigma) / math.sqrt(2.0)
+        out = np.where(u >= 0, np.exp(-np.clip(u, 0, None) / tau), 0.0)
+        if not grad:
+            return out
+        return out, sign * out * u / tau**2, out / tau
+    arg = (sigma / tau - u / sigma) / math.sqrt(2.0)
     # Exponentially-modified Gaussian; log-form keeps the product stable.
-    log_pre = sigma**2 / (2.0 * tau**2) - (t - t0) / tau
+    log_pre = sigma**2 / (2.0 * tau**2) - u / tau
     out = np.zeros_like(t)
     ok = arg < 25.0
     out[ok] = 0.5 * np.exp(log_pre[ok]) * erfc(arg[ok])
-    return out
+    if not grad:
+        return out
+    gauss = (np.where(ok, np.exp(-0.5 * (u / sigma) ** 2), 0.0)
+             / (sigma * math.sqrt(2.0 * math.pi)))
+    d_tau = out * (u / tau**2 - sigma**2 / tau**3) + sigma**2 * gauss / tau**2
+    return out, sign * d_tau, out / tau - gauss
 
 
 def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
@@ -518,29 +541,56 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
 
     floor = 1e-9
 
-    def raw_mean(p):
+    def raw_mean(p, grad=False):
+        """Model mean per bin; with ``grad`` also d(mean)/dp, one column per name."""
         q = list(p)
         if fix_t0 is not None:
             q.insert(i_t0, fix_t0)
-        if model == "mono":
-            a, tau, t0, b = q
-            return b + a * _decay_kernel(t, tau, t0, sigma)
-        a1, t1, a2, t2, t0, b = q
-        return (b + a1 * _decay_kernel(t, t1, t0, sigma)
-                + a2 * _decay_kernel(t, t2, t0, sigma))
+        # q is (amplitude, tau) pairs, then t0, then the background.
+        mu, cols, d_t0 = q[-1], [], 0.0
+        for a, tau in zip(q[:-2:2], q[1:-2:2]):
+            if grad:
+                k, k_tau, k_t0 = _decay_kernel(t, tau, q[-2], sigma, grad=True)
+                cols += [k, a * k_tau]
+                d_t0 = d_t0 + a * k_t0
+            else:
+                k = _decay_kernel(t, tau, q[-2], sigma)
+            mu = mu + a * k
+        if not grad:
+            return mu
+        cols += [d_t0, np.ones_like(t)]
+        if fix_t0 is not None:
+            del cols[i_t0]
+        return mu, np.column_stack(cols)
+
+    def deviance(mu):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(counts > 0, counts * np.log(counts / mu), 0.0)
+        return 2.0 * (term - (counts - mu))
 
     def residual(p):
         mu_raw = raw_mean(p)
         mu = np.maximum(mu_raw, floor)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(counts > 0, counts * np.log(counts / mu), 0.0)
-        dev = 2.0 * (term - (counts - mu))
-        out = np.sign(counts - mu) * np.sqrt(np.maximum(dev, 0.0))
+        out = np.sign(counts - mu) * np.sqrt(np.maximum(deviance(mu), 0.0))
         # Negative model means are unphysical; the penalty keeps a gradient
         # alive where the likelihood floor alone would go flat.
         return np.concatenate([out, np.minimum(mu_raw - floor, 0.0)])
 
-    sol, cov, info = levenberg_marquardt(residual, p0, n_data=t.size)
+    def jacobian(p):
+        mu_raw, d_mu = raw_mean(p, grad=True)
+        mu = np.maximum(mu_raw, floor)
+        # dr/dmu = sign(c - mu)(1 - c/mu)/sqrt(dev) = -|x|/sqrt(dev), x = 1 - c/mu.
+        # Near c = mu the deviance cancels, so there use its expansion
+        # -(1 - x/6)/sqrt(mu), whose x -> 0 limit is -1/sqrt(mu).
+        x = 1.0 - counts / mu
+        near = np.abs(x) < 1e-3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(near, -(1.0 - x / 6.0) / np.sqrt(mu),
+                             -np.abs(x) / np.sqrt(deviance(mu)))
+        slope = np.where(mu_raw > floor, slope, 0.0)
+        return np.concatenate([slope[:, None] * d_mu, (mu_raw < floor)[:, None] * d_mu])
+
+    sol, cov, info = levenberg_marquardt(residual, p0, jacobian=jacobian, n_data=t.size)
     sol = sol.copy()
     for i, name in enumerate(names):
         if name.startswith("tau"):

@@ -471,6 +471,17 @@ def test_decay_fit_command(tmp_path):
     assert vals["tau_ns"] == pytest.approx(7.6, rel=0.05)
 
 
+def test_sparse_fast_decay_fit_exits_zero(tmp_path, capsys):
+    # Mostly empty bins; a fit ending at the iteration cap would exit 3.
+    t = np.arange(0.05, 1.0, 0.01) + 0.005
+    counts = np.random.default_rng(3).poisson(40 * np.exp(-(t - 0.05) / 0.07))
+    data = tmp_path / "decay.csv"
+    csvio.write_csv(data, {"tau_ns": t, "counts": counts}, {"kind": "decay"})
+    out = tmp_path / "fit.csv"
+    assert run(["fit", "--model", "decay", "--data", data, "--out", out]) == 0
+    assert "did not converge" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [{"seed": "abc"}, {"seed": -1}, {"seeed": 3},
                                     {"output_dir": "."}],
                          ids=["non-integer-seed", "negative-seed", "unknown-key",

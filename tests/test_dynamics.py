@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -5,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from cavqed import dynamics, fitkit, hilbert, trajectories
+from cavqed import dynamics, fitkit, hilbert, polariton, trajectories
 from cavqed.dynamics import (
     NumericalError,
     emission_spectrum,
@@ -236,6 +237,35 @@ class TestEvolve:
         for r in rhos:
             assert abs(np.trace(r) - 1.0) < 1e-9
             assert np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T))) > -1e-9
+
+
+# At n_max = 1 and zero pump the k = -1 block is block-triangular: jumps feed
+# the one-excitation coherences |0><1| from the two-excitation ones, never
+# back, so two of its eigenvalues are those of the closed form's 2x2
+# generator, as -hwhm + i(omega - omega_m) in the frame rotating at omega_m.
+# Trace and determinant of the matched pair stay exact at the exceptional
+# point (dw = 0, g = |gamma_m - gamma_x|/4), where the two eigenvalues do not.
+@given(g=st.floats(0.1, 100.0), gm=st.floats(0.1, 200.0), gx=st.floats(0.03, 50.0),
+       b_share=st.floats(0.0, 1.0), dl=st.floats(-2.0, 2.0))
+@example(g=(24.1 - 8.5) / 4, gm=24.1, gx=8.5, b_share=0.0, dl=0.0)
+@example(g=(50.0 - 0.1) / 4, gm=0.1, gx=50.0, b_share=0.3, dl=0.0)
+@example(g=(200.0 - 0.03) / 4, gm=200.0, gx=0.03, b_share=1.0, dl=0.0)
+def test_coherence_block_holds_the_closed_form_eigenvalues(g, gm, gx, b_share, dl):
+    p = SystemParams(g_GHz=g, gamma_x_GHz=gx, gamma_m_GHz=gm,
+                     gamma_b_GHz=b_share * gx, pump_GHz=0.0, n_max=1)
+    det = Detuning.from_nm(dl, p.lambda_m_nm)
+    lam = dynamics.build_model(p, det).block(-1).evals / TWO_PI
+    blue, red, _, omega_m = polariton._complex_eigenvalues(
+        p.lambda_m_nm, det.dw_GHz, g, gx, gm)
+    want = 1j * np.conj(np.array([blue, red]) - omega_m)
+    scale = max(np.max(np.abs(lam)), np.max(np.abs(want)))
+    # The closed form works on the ~3.2e5 GHz carrier, so its rounding
+    # floor is a few ulps of omega_m, however narrow the lines.  Over 4,000
+    # seeded draws the mismatch reached at most 0.2 of this bound.
+    tol = 1e-10 * scale + 4.0 * np.spacing(omega_m)
+    assert min(max(abs(lam[i] + lam[j] - want.sum()),
+                   abs(lam[i] * lam[j] - want.prod()) / scale)
+               for i, j in itertools.combinations(range(lam.size), 2)) < tol
 
 
 def _decay_time(p, det):

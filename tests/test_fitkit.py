@@ -285,6 +285,54 @@ class TestDecay:
             errs.append(r.stderr["tau_ns"])
         assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.4)
 
+    @pytest.mark.parametrize("fix_t0", [None, 0.3], ids=["free-t0", "fixed-t0"])
+    @pytest.mark.parametrize("irf_fwhm_ns", [None, 0.07], ids=["no-irf", "irf"])
+    @pytest.mark.parametrize("model", ["mono", "bi"])
+    def test_analytic_jacobian_matches_central_differences(self, monkeypatch, model,
+                                                          irf_fwhm_ns, fix_t0):
+        rng = np.random.default_rng(10)
+        t = np.arange(0.0, 3.0, 0.02) + 0.01
+        onset = np.clip(t - 0.3, 0, None)
+        counts = rng.poisson(0.5 + 150.0 * np.exp(-onset / 0.5) * (t >= 0.3))
+        seen = {}
+        real_lm = fitkit.levenberg_marquardt
+
+        def spy(residual, x0, jacobian=None, n_data=None):
+            seen.update(residual=residual, jacobian=jacobian, x0=x0)
+            return real_lm(residual, x0, jacobian=jacobian, n_data=n_data)
+
+        monkeypatch.setattr(fitkit, "levenberg_marquardt", spy)
+        init = {"t0_ns": 0.3} if irf_fwhm_ns is None and fix_t0 is None else None
+        fit_decay((t, counts), model, irf_fwhm_ns=irf_fwhm_ns, init=init, fix_t0=fix_t0)
+        residual, jacobian, x0 = seen["residual"], seen["jacobian"], seen["x0"]
+        assert jacobian is not None
+        points = [x0 * (1.0 + 0.1 * rng.standard_normal(x0.size)) for _ in range(4)]
+        # The background sits last: below the 1e-9 mean floor the tail bins
+        # have flat deviance rows and live penalty rows.
+        below = x0.copy()
+        below[-1] = -0.4
+        points.append(below)
+        for p in points:
+            analytic = jacobian(p)
+            fd = fitkit._fd_jacobian(residual, p, residual(p))
+            scale = np.max(np.abs(fd), axis=0)
+            assert np.all(np.abs(analytic - fd) <= 1e-5 * scale)
+        assert np.any(jacobian(below)[t.size:] != 0.0)
+
+    @staticmethod
+    def _sparse_fast_decay(seed):
+        t = np.arange(0.05, 1.0, 0.01) + 0.005
+        return t, np.random.default_rng(seed).poisson(40 * np.exp(-(t - 0.05) / 0.07))
+
+    def test_sparse_fast_decay_converges(self):
+        # Mostly empty bins: the rounding noise of the cost must not keep the
+        # fit from stopping.  Seed 3 takes 122 iterations, the mean over
+        # seeds 0-39 is 27.
+        assert fit_decay(self._sparse_fast_decay(3), "mono").converged
+        iterations = [fit_decay(self._sparse_fast_decay(seed), "mono").n_iterations
+                      for seed in range(40)]
+        assert np.mean(iterations) < 40.0
+
 
 def test_damped_modes_exact():
     dt = 0.01

@@ -19,6 +19,7 @@ slices of ``_ROWS`` grid points, so their temporaries stay bounded however
 long the grid.  The steady state is the k = 0 block's one zero-eigenvalue
 mode, read off the same decomposition and cached on the model.
 
+Each function takes a detuning or a ``model=`` that carries one.
 Frequencies are ordinary GHz, times ns; the generator itself is in rad/ns.
 """
 
@@ -204,9 +205,8 @@ class _Model:
         return rho
 
 
-def build_model(p: SystemParams, detuning: Detuning | None = None) -> _Model:
-    if detuning is None:
-        detuning = p.detuning()
+def build_model(p: SystemParams, detuning: Detuning) -> _Model:
+    """Operators of ``p`` at ``detuning``, for the functions below to share."""
     space = hilbert.build_space(p)
     h_ang = hamiltonian(p, detuning, space)
     return _Model(p, detuning, space, h_ang, collapse_channels(p, space))
@@ -216,10 +216,13 @@ def _model_for(p: SystemParams, detuning: Detuning | None,
                model: _Model | None) -> _Model:
     """``model`` if it was built for ``p`` and a given ``detuning``, else a new one.
 
-    Raises ``ValueError`` for a model built for other parameters or another
-    detuning, whose physics would silently replace the requested one.
+    Raises ``ValueError`` with neither a detuning nor a model, and for a
+    model built for other parameters or another detuning, whose physics
+    would silently replace the requested one.
     """
     if model is None:
+        if detuning is None:
+            raise ValueError("no detuning: pass one, or a model built with one")
         return build_model(p, detuning)
     if model.params != p or (detuning is not None and model.detuning != detuning):
         raise ValueError("model was built for other parameters or another detuning "

@@ -101,10 +101,9 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
     range; ``np.histogram``'s range test on the delay then decides.  Starts
     are taken in blocks of ``_BLOCK``, each start reaching a run of stops.
     With the block sorted longest run first, lag m takes the m-th stop of
-    every run longer than m: at most a block of delays.  Lags that fall
-    short of a block share a buffer of ``_BLOCK`` delays, histogrammed when
-    the next lag would overflow it, so a small dense call makes few
-    ``np.histogram`` calls; a full block's lag is histogrammed in place.
+    every run longer than m: at most a block of delays.  The lags share a
+    buffer of ``_BLOCK`` delays, histogrammed when the next lag would
+    overflow it, so a small dense call makes few ``np.histogram`` calls.
     """
     scale = max(abs(starts[0]), abs(starts[-1]), abs(stops[0]), abs(stops[-1]),
                 edges[-1])
@@ -121,9 +120,6 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
         block, first = block[order], first[order]
         longer = block.size - np.cumsum(np.bincount(runs))  # runs longer than m
         for m, k in enumerate(longer[:-1]):
-            if k == _BLOCK:
-                counts += np.histogram(view[first + m] - block, bins=edges)[0]
-                continue
             if fill + k > _BLOCK:
                 counts += np.histogram(pending[:fill], bins=edges)[0]
                 fill = 0

@@ -63,11 +63,6 @@ class StateSpace:
             raise IndexError(f"state |{level},{n}> outside the truncated space")
         return level * (self.n_max + 1) + n
 
-    def ket(self, level: int, n: int) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[self.index(level, n)] = 1.0
-        return psi
-
 
 @dataclass(frozen=True)
 class CollapseChannel:
@@ -123,30 +118,22 @@ def build_space(p: SystemParams) -> StateSpace:
     )
 
 
-def hamiltonian(p: SystemParams, detuning: Detuning | None = None,
-                space: StateSpace | None = None) -> np.ndarray:
-    """Coupled-system Hamiltonian in rad/ns, rotating frame at omega_m.
+def hamiltonian(p: SystemParams, detuning: Detuning, space: StateSpace) -> np.ndarray:
+    """Coupled-system Hamiltonian on ``space`` in rad/ns, rotating frame at omega_m.
 
     H = 2*pi * [ -dw * sigma†sigma + g * (a†sigma + sigma†a) ]; the photon
     term vanishes in this frame and the feeder level (if present) is set to
     zero energy since it only enters through incoherent channels.
     """
-    if detuning is None:
-        detuning = p.detuning()
-    if space is None:
-        space = build_space(p)
     sig, sig_d = space.sigma, space.sigma.conj().T
-    h = TWO_PI * (
+    return TWO_PI * (
         -detuning.dw_GHz * (sig_d @ sig)
         + p.g_GHz * (space.ad @ sig + sig_d @ space.a)
     )
-    return h
 
 
-def collapse_channels(p: SystemParams, space: StateSpace | None = None) -> list[CollapseChannel]:
-    """Dissipative channels of the model, in a fixed documented order."""
-    if space is None:
-        space = build_space(p)
+def collapse_channels(p: SystemParams, space: StateSpace) -> list[CollapseChannel]:
+    """Dissipative channels of the model on ``space``, in a fixed documented order."""
     sig = space.sigma
     sig_d = sig.conj().T
     channels = [

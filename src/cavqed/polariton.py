@@ -54,6 +54,10 @@ class SystemParams:
     incoherent exciton-to-cavity feeding rate; the optional third emitter
     level ("feeder") pumps the cavity independently of the exciton and is
     active only for ``emitter_levels == 3``.
+
+    The detuning is never read off the wavelengths: every function that
+    needs it takes a :class:`~cavqed.units.Detuning`, and
+    :meth:`with_detuning` moves ``lambda_x_nm`` to match one.
     """
 
     lambda_x_nm: float = 942.5
@@ -93,10 +97,6 @@ class SystemParams:
     @property
     def omega_m_GHz(self) -> float:
         return wavelength_to_frequency(self.lambda_m_nm)
-
-    def detuning(self) -> Detuning:
-        """Detuning implied by the configured wavelengths (reference lambda_m)."""
-        return Detuning.from_nm(self.lambda_x_nm - self.lambda_m_nm, self.lambda_m_nm)
 
     def with_detuning(self, detuning: Detuning) -> "SystemParams":
         """Copy with the exciton wavelength moved to realize ``detuning``."""
@@ -199,14 +199,12 @@ def _photon_fraction(lam: complex, omega_x: float, omega_m: float,
     return w / denom
 
 
-def eigenmodes(p: SystemParams, detuning: Detuning | None = None) -> PolaritonPair:
+def eigenmodes(p: SystemParams, detuning: Detuning) -> PolaritonPair:
     """Polariton resonance frequencies and half-widths at a given detuning.
 
     The half-widths always sum to (gamma_x + gamma_m)/4 * 2 branch-wise, i.e.
     hwhm_plus + hwhm_minus = (gamma_x + gamma_m)/2 independent of detuning.
     """
-    if detuning is None:
-        detuning = p.detuning()
     lam_p, lam_m, omega_x, omega_m = (v.item() for v in _complex_eigenvalues(
         p.lambda_m_nm, detuning.dw_GHz, p.g_GHz, p.gamma_x_GHz, p.gamma_m_GHz))
     return PolaritonPair(
@@ -237,7 +235,7 @@ def rabi_splitting(p: SystemParams) -> tuple[float, float]:
 
 
 def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
-                      detuning: Detuning | None = None) -> Spectrum:
+                      detuning: Detuning) -> Spectrum:
     """Two-Lorentzian polariton spectrum on an ordinary-frequency grid.
 
     Each branch is weighted by the squared photon fraction of its
@@ -249,8 +247,6 @@ def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
         raise ValueError("frequency grid must be a non-empty 1-D array")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("frequency grid must be sorted ascending")
-    if detuning is None:
-        detuning = p.detuning()
     modes = eigenmodes(p, detuning)
     a_plus, a_minus = modes.photon_fraction_plus, modes.photon_fraction_minus
     comp_plus = a_plus / ((grid - modes.omega_plus_GHz) ** 2 + modes.hwhm_plus_GHz**2)
@@ -265,7 +261,7 @@ def spectral_function(grid_GHz: np.ndarray, p: SystemParams,
     )
 
 
-def purcell_lifetime(p: SystemParams, detuning: Detuning | None = None) -> LifetimeBudget:
+def purcell_lifetime(p: SystemParams, detuning: Detuning) -> LifetimeBudget:
     """Detuning-dependent exciton lifetime from the Lorentzian emission law.
 
     The total decay rate is gamma_b + gamma_SE with
@@ -277,8 +273,6 @@ def purcell_lifetime(p: SystemParams, detuning: Detuning | None = None) -> Lifet
     """
     if p.gamma_m_GHz <= 0:
         raise ValueError("purcell_lifetime requires a lossy cavity (gamma_m > 0)")
-    if detuning is None:
-        detuning = p.detuning()
     dw = detuning.dw_GHz
     gamma_se = p.gamma_m_GHz * p.g_GHz**2 / (dw**2 + (p.gamma_m_GHz / 2.0) ** 2)
     return LifetimeBudget(

@@ -65,7 +65,7 @@ def _unit_area(s: Spectrum) -> np.ndarray:
     return s.intensity / area
 
 
-def averaged_spectrum(p: SystemParams, detuning: Detuning | None,
+def averaged_spectrum(p: SystemParams, detuning: Detuning,
                       cfg: TelegraphConfig, grid_GHz: np.ndarray,
                       mode: str = "master") -> Spectrum:
     """Dwell-weighted mixture spectrum on an ordinary-frequency grid.
@@ -76,8 +76,6 @@ def averaged_spectrum(p: SystemParams, detuning: Detuning | None,
     regime terms in ``components`` ("resonant", "detuned"); the grid must
     cover the doublet and the cavity line or the mixture is refused.
     """
-    if detuning is None:
-        detuning = p.detuning()
     grid = np.asarray(grid_GHz, dtype=float)
     shifted = _shifted_detuning(p, detuning, cfg)
     modes_res = eigenmodes(p, detuning)

@@ -275,8 +275,7 @@ def _lands(s: float, f: float, df: float, lo: float, hi: float) -> bool:
     return ((s - hi) * df - f) * ((s - lo) * df - f) <= 0
 
 
-def run_cw(p: SystemParams, detuning: Detuning | None = None,
-           duration_ns: float = 1e5, seed: int = 0,
+def run_cw(p: SystemParams, detuning: Detuning, duration_ns: float, seed: int,
            discard_ns: float = 0.0) -> ClickStream:
     """Continuous-wave unravelling: the clicks of one emitter over ``duration_ns``.
 
@@ -298,15 +297,13 @@ def run_cw(p: SystemParams, detuning: Detuning | None = None,
     return ClickStream(times[keep], codes[keep], DETECTED, duration_ns)
 
 
-def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
-               pulses: PulseConfig | None = None, seed: int = 0) -> ClickStream:
+def run_pulsed(p: SystemParams, detuning: Detuning, pulses: PulseConfig,
+               seed: int) -> ClickStream:
     """Pulsed-excitation unravelling driven by the capture model.
 
     The CW pump channels are disabled; excitation enters exclusively through
-    the capture events drawn per pulse from :class:`PulseConfig`.
+    the capture events drawn per pulse from ``pulses``.
     """
-    if pulses is None:
-        pulses = PulseConfig()
     engine = _Engine(dynamics.build_model(
         replace(p, pump_GHz=0.0, feeder_pump_GHz=0.0), detuning))
     sigma = engine.model.space.sigma
@@ -340,7 +337,7 @@ def run_pulsed(p: SystemParams, detuning: Detuning | None = None,
                        DETECTED, total)
 
 
-def ensemble_populations(p: SystemParams, detuning: Detuning | None,
+def ensemble_populations(p: SystemParams, detuning: Detuning,
                          operator: np.ndarray, t_grid_ns: np.ndarray,
                          n_trajectories: int, seed: int):
     """Trajectory-ensemble expectation of ``operator`` on a time grid.

@@ -166,7 +166,8 @@ def _population_check(p, det, t_grid, op_name, n_traj, seed):
     mean, err = trajectories.ensemble_populations(p, det, op, t_grid,
                                                   n_trajectories=n_traj,
                                                   seed=seed)
-    rho0 = np.outer(sp.ket(hilbert.GROUND, 0), sp.ket(hilbert.GROUND, 0).conj())
+    ground = np.eye(sp.dim, dtype=complex)[sp.index(hilbert.GROUND, 0)]
+    rho0 = np.outer(ground, ground.conj())
     rhos = dynamics.evolve(rho0, p, t_grid, validate=False, model=model)
     exact = np.array([dynamics.expectation(op, r) for r in rhos])
     z = np.abs(mean[1:] - exact[1:]) / np.maximum(err[1:], 1e-12)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, strategies as st
 
-from cavqed import dynamics, fitkit, hilbert, polariton, trajectories
+from cavqed import dynamics, fitkit, hilbert, polariton, specdiff, trajectories
 from cavqed.dynamics import (
     NumericalError,
     emission_spectrum,
@@ -33,7 +33,7 @@ FEEDER = SystemParams(lambda_x_nm=946.6, g_GHz=20.7, gamma_x_GHz=0.015,
 
 
 def _pure(space, level, n):
-    k = space.ket(level, n)
+    k = np.eye(space.dim, dtype=complex)[space.index(level, n)]
     return np.outer(k, k.conj())
 
 
@@ -210,8 +210,9 @@ class TestEvolve:
         p = replace(PAPER, n_max=3)
         model = dynamics.build_model(p, RES)
         sp = model.space
-        psi = (sp.ket(hilbert.GROUND, 0) + sp.ket(hilbert.EXCITON, 0)
-               + sp.ket(hilbert.GROUND, 2)) / math.sqrt(3.0)
+        kets = np.eye(sp.dim, dtype=complex)
+        psi = (kets[sp.index(hilbert.GROUND, 0)] + kets[sp.index(hilbert.EXCITON, 0)]
+               + kets[sp.index(hilbert.GROUND, 2)]) / math.sqrt(3.0)
         rho0 = np.outer(psi, psi.conj())
         assert set(model.orders[rho0.reshape(-1) != 0]) == {-2, -1, 0, 1, 2}
         t = np.linspace(0.0, 0.5, 11)
@@ -588,6 +589,54 @@ def test_mismatched_model_rejected():
                 call(p, det)
         call(p1, RES)
         call(p1, None)
+
+
+SMALL = replace(PAPER, n_max=1)
+SMALL_GRID = np.linspace(SMALL.omega_m_GHz - 150, SMALL.omega_m_GHz + 150, 3001)
+SMALL_TAU = np.linspace(0.0, 1.0, 5)
+FEW_PULSES = trajectories.PulseConfig(n_pulses=5)
+# (exception, what its message names, a call that leaves that input out)
+MISSING_INPUTS = {
+    "eigenmodes": (TypeError, "'detuning'", lambda: eigenmodes(SMALL)),
+    "spectral_function": (TypeError, "'detuning'",
+                          lambda: spectral_function(SMALL_GRID, SMALL)),
+    "purcell_lifetime": (TypeError, "'detuning'", lambda: purcell_lifetime(SMALL)),
+    "hamiltonian": (TypeError, "'detuning'", lambda: hilbert.hamiltonian(
+        SMALL, space=hilbert.build_space(SMALL))),
+    "build_model": (TypeError, "'detuning'", lambda: dynamics.build_model(SMALL)),
+    "averaged_spectrum": (TypeError, "'detuning'", lambda: specdiff.averaged_spectrum(
+        SMALL, cfg=specdiff.TelegraphConfig(), grid_GHz=SMALL_GRID, mode="fast")),
+    "run_cw": (TypeError, "'detuning'",
+               lambda: trajectories.run_cw(SMALL, duration_ns=10.0, seed=1)),
+    "run_pulsed": (TypeError, "'detuning'",
+                   lambda: trajectories.run_pulsed(SMALL, pulses=FEW_PULSES, seed=1)),
+    "ensemble_populations": (TypeError, "'detuning'", lambda: trajectories.ensemble_populations(
+        SMALL, operator=np.eye(4), t_grid_ns=SMALL_TAU, n_trajectories=2, seed=1)),
+    "hamiltonian-space": (TypeError, "'space'", lambda: hilbert.hamiltonian(SMALL, RES)),
+    "collapse_channels-space": (TypeError, "'space'",
+                                lambda: hilbert.collapse_channels(SMALL)),
+    "run_pulsed-pulses": (TypeError, "'pulses'",
+                          lambda: trajectories.run_pulsed(SMALL, RES, seed=1)),
+    "run_cw-seed": (TypeError, "'seed'", lambda: trajectories.run_cw(SMALL, RES, 10.0)),
+    "run_pulsed-seed": (TypeError, "'seed'",
+                        lambda: trajectories.run_pulsed(SMALL, RES, FEW_PULSES)),
+    "evolve": (ValueError, "no detuning",
+               lambda: evolve(np.eye(4) / 4, SMALL, SMALL_TAU)),
+    "steady_state": (ValueError, "no detuning", lambda: steady_state(SMALL)),
+    "emission_spectrum": (ValueError, "no detuning",
+                          lambda: emission_spectrum(SMALL, None, SMALL_GRID)),
+    "g2_auto": (ValueError, "no detuning", lambda: g2_auto(SMALL, None, SMALL_TAU)),
+    "g2_cross": (ValueError, "no detuning", lambda: g2_cross(SMALL, None, SMALL_TAU)),
+}
+
+
+@pytest.mark.parametrize("entry", MISSING_INPUTS)
+def test_physics_inputs_are_never_filled_in(entry):
+    # every detuning, state space, pulse config and seed is passed by the
+    # caller; none is read off SystemParams or a default
+    exc, names, call = MISSING_INPUTS[entry]
+    with pytest.raises(exc, match=names):
+        call()
 
 
 @pytest.mark.parametrize("cond_max", [dynamics._COND_MAX, 0.0], ids=["modal", "fallback"])

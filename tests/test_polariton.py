@@ -206,4 +206,3 @@ class TestSystemParams:
         p = SystemParams(lambda_m_nm=942.5)
         q = p.with_detuning(Detuning.from_nm(4.1, 942.5))
         assert q.lambda_x_nm == pytest.approx(946.6)
-        assert q.detuning().dw_GHz == pytest.approx(1383.7, abs=0.1)

@@ -68,7 +68,8 @@ def test_ensemble_matches_master_equation():
     t = np.linspace(0.0, 2.0, 11)
     mean, err = trajectories.ensemble_populations(
         p, RES, sp.projectors["exciton"], t, n_trajectories=3000, seed=11)
-    rho0 = np.outer(sp.ket(hilbert.GROUND, 0), sp.ket(hilbert.GROUND, 0).conj())
+    ground = np.eye(sp.dim, dtype=complex)[sp.index(hilbert.GROUND, 0)]
+    rho0 = np.outer(ground, ground.conj())
     rhos = dynamics.evolve(rho0, p, t, model=model)
     exact = np.array([dynamics.expectation(sp.projectors["exciton"], r)
                       for r in rhos])

@@ -8,13 +8,18 @@ to emitted CSV files).
 
 Configuration lives in one JSON file with sections mirroring the config
 dataclasses; any value can be overridden from the command line with
-``--set section.key=value``.  Exit codes: 0 success, 2 configuration or
-usage error, 3 numerical failure.  Every stochastic command requires a
-seed.  A CW trajectory ``g2`` simulates one emitter for ``--duration-ns``.
-A trajectory ``lifetime`` point is the maximum-likelihood lifetime of the
-clicks folded onto one repetition period, read off their mean folded time;
-it exits 3 when that lifetime is not below the period.  ``spectrum``
-resamples onto the spectrometer's wavelength step only to convolve; with
+``--set section.key=value``.  The exception type alone sets the exit code,
+in ``main``: a ``NumericalError``, ``FitError`` or ``LinAlgError`` is a
+numerical failure (3), and any other ``ValueError`` a refused input (2).
+A command writes its files only after every step that can fail, so a
+non-zero exit leaves no file.  ``--fast`` outside diffused mode and
+``--pulsed`` or ``--instrument`` with a regression ``g2`` are refused, not
+ignored.  Every stochastic command requires a seed.  A CW trajectory
+``g2`` simulates one emitter for ``--duration-ns``.  A trajectory
+``lifetime`` point is the maximum-likelihood lifetime of the clicks folded
+onto one repetition period, read off their mean folded time; it exits 3
+when that lifetime is not below the period.  ``spectrum`` resamples onto
+the spectrometer's wavelength step only to convolve; with
 ``--no-instrument`` it writes the computed grid.
 """
 
@@ -43,13 +48,9 @@ from .specdiff import TelegraphConfig
 from .trajectories import PulseConfig
 from .units import Detuning, wavelength_to_frequency
 
-__all__ = ["main", "RunConfig", "ConfigError"]
+__all__ = ["main", "RunConfig"]
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
-
-
-class ConfigError(ValueError):
-    """Bad configuration file, flag value, or input data layout."""
 
 
 # A config value must have its field default's type, except that a float
@@ -62,13 +63,17 @@ def _section(data: dict, name: str, cls):
     """Config section ``name`` built from ``data``, each value type-checked."""
     values = data.get(name, {})
     if not isinstance(values, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
+        raise ValueError(f"config section {name!r} must be an object")
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config key(s): "
+                         f"{', '.join(f'{name}.{key}' for key in sorted(unknown))}")
     for f in fields(cls):
         value, kind = values.get(f.name), type(f.default)
         if f.name in values and type(value) not in _ALSO_TAKES.get(kind, (kind,)):
-            raise ConfigError(f"{name}.{f.name} must be {f.type}, got {value!r}")
+            raise ValueError(f"{name}.{f.name} must be {f.type}, got {value!r}")
         if type(value) is float and not math.isfinite(value):
-            raise ConfigError(f"{name}.{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{name}.{f.name} must be finite, got {value!r}")
     return cls(**values)
 
 
@@ -76,8 +81,8 @@ def _section(data: dict, name: str, cls):
 class RunConfig:
     """All sub-configurations plus the seed; ``--out``/``--out-prefix`` name the files.
 
-    ``from_dict`` raises :class:`ConfigError` on an unknown key, a value of
-    the wrong type, a float that is not finite, or a seed outside [0, 2**63).
+    ``from_dict`` raises ``ValueError`` on an unknown key, a value of the
+    wrong type, a value its section refuses, or a seed outside [0, 2**63).
     """
 
     system: SystemParams = field(default_factory=SystemParams)
@@ -90,20 +95,17 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         seed = data.get("seed")
         if seed is not None and not (type(seed) is int and 0 <= seed < 2**63):
-            raise ConfigError(f"seed must be an integer in [0, 2**63), got {seed!r}")
-        try:
-            return cls(
-                system=_section(data, "system", SystemParams),
-                instrument=_section(data, "instrument", InstrumentConfig),
-                pulses=_section(data, "pulses", PulseConfig),
-                telegraph=_section(data, "telegraph", TelegraphConfig),
-                seed=seed,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError(f"seed must be an integer in [0, 2**63), got {seed!r}")
+        return cls(
+            system=_section(data, "system", SystemParams),
+            instrument=_section(data, "instrument", InstrumentConfig),
+            pulses=_section(data, "pulses", PulseConfig),
+            telegraph=_section(data, "telegraph", TelegraphConfig),
+            seed=seed,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,7 +117,7 @@ class RunConfig:
 def _apply_overrides(data: dict, assignments: list[str]) -> dict:
     for item in assignments:
         if "=" not in item:
-            raise ConfigError(f"--set needs section.key=value, got {item!r}")
+            raise ValueError(f"--set needs section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         keys = dotted.strip().split(".")
         try:
@@ -126,7 +128,7 @@ def _apply_overrides(data: dict, assignments: list[str]) -> dict:
         for key in keys[:-1]:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"--set {dotted}: {key!r} is not a section")
+                raise ValueError(f"--set {dotted}: {key!r} is not a section")
         node[keys[-1]] = value
     return data
 
@@ -138,11 +140,11 @@ def load_config(args) -> RunConfig:
             with open(args.config) as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
+            raise ValueError(f"config {args.config} must hold a JSON object")
     data = _apply_overrides(data, args.set or [])
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
@@ -151,8 +153,8 @@ def load_config(args) -> RunConfig:
 
 def _require_seed(cfg: RunConfig) -> int:
     if cfg.seed is None:
-        raise ConfigError("this command is stochastic: set a seed "
-                          "(--seed or \"seed\" in the config)")
+        raise ValueError("this command is stochastic: set a seed "
+                         "(--seed or \"seed\" in the config)")
     return cfg.seed
 
 
@@ -182,6 +184,8 @@ def _wavelength_grid_spectrum(spec: Spectrum, step_nm: float) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    if args.fast and args.mode != "diffused":
+        raise ValueError("--fast needs --mode diffused")
     cfg = load_config(args)
     det = _detuning(cfg, args.detuning_nm)
     p = cfg.system.with_detuning(det)
@@ -193,11 +197,9 @@ def cmd_spectrum(args) -> int:
         spec = spectral_function(grid, p, det)
     elif args.mode == "master":
         spec = dynamics.emission_spectrum(p, det, grid)
-    elif args.mode == "diffused":
+    else:
         spec = specdiff.averaged_spectrum(p, det, cfg.telegraph, grid,
                                           mode="master" if not args.fast else "fast")
-    else:
-        raise ConfigError(f"unknown spectrum mode {args.mode}")
     if args.no_instrument:
         spec = spec.to_wavelength()
     else:
@@ -207,8 +209,8 @@ def cmd_spectrum(args) -> int:
         try:
             spec = instrument.convolve_spectrum(spec, cfg.instrument)
         except ValueError as exc:
-            raise ConfigError(f"instrument.spectral_resolution_pm = "
-                              f"{cfg.instrument.spectral_resolution_pm}: {exc}") from exc
+            raise ValueError(f"instrument.spectral_resolution_pm = "
+                             f"{cfg.instrument.spectral_resolution_pm}: {exc}") from exc
     columns = {"wavelength_nm": spec.axis, "intensity": spec.intensity}
     for name, values in spec.components.items():
         columns[f"component_{name}"] = values
@@ -224,7 +226,7 @@ def cmd_spectrum(args) -> int:
 
 def _sweep_values(args) -> np.ndarray:
     if args.steps < 1:
-        raise ConfigError("sweep needs at least 1 step")
+        raise ValueError("sweep needs at least 1 step")
     return np.linspace(args.dl_start, args.dl_end, args.steps)
 
 
@@ -308,17 +310,19 @@ def _write_clicks(path, clicks: trajectories.ClickStream, meta: dict) -> None:
 
 def cmd_g2(args) -> int:
     if not (args.bin_ns > 0 and args.window_ns > args.bin_ns and args.duration_ns > 0):
-        raise ConfigError("g2 needs --bin-ns > 0, --window-ns > --bin-ns "
-                          "and --duration-ns > 0")
+        raise ValueError("g2 needs --bin-ns > 0, --window-ns > --bin-ns "
+                         "and --duration-ns > 0")
     if args.window_ns / args.bin_ns > hbt.MAX_BINS_PER_SIDE:
-        raise ConfigError(f"g2 needs --window-ns / --bin-ns <= {hbt.MAX_BINS_PER_SIDE}, "
-                          f"got {args.window_ns / args.bin_ns:.3g}")
+        raise ValueError(f"g2 needs --window-ns / --bin-ns <= {hbt.MAX_BINS_PER_SIDE}, "
+                         f"got {args.window_ns / args.bin_ns:.3g}")
     cfg = load_config(args)
     det = _detuning(cfg, args.detuning_nm)
     p = cfg.system.with_detuning(det)
     if args.method == "regression":
-        if args.pulsed:
-            raise ConfigError("regression g2 is CW only; use --method trajectories")
+        if args.pulsed or args.instrument:
+            flag = "--pulsed" if args.pulsed else "--instrument"
+            raise ValueError(f"regression g2 is CW only and has no detectors: "
+                             f"{flag} needs --method trajectories")
         tau = np.arange(0.0, args.window_ns + args.bin_ns, args.bin_ns)
         if args.kind == "auto":
             trace = dynamics.g2_auto(p, det, tau)
@@ -336,9 +340,6 @@ def cmd_g2(args) -> int:
         clicks = trajectories.run_cw(p, det, args.duration_ns, seed)
     if args.instrument:
         clicks = instrument.jitter_and_thin(clicks, cfg.instrument, seed=seed + 1)
-    _write_clicks(args.out_prefix + "_clicks.csv", clicks,
-                  _meta(cfg, "g2", kind=args.kind, stage="clicks",
-                        detuning_nm=args.detuning_nm))
     if args.kind == "auto":
         mode_times = clicks.times("cavity_loss")
         starts, stops = hbt.split_beam(mode_times, seed=seed + 2)
@@ -353,6 +354,13 @@ def cmd_g2(args) -> int:
         period = cfg.pulses.rep_period_ns
         report = hbt.pulsed_peak_areas(hist, period, period / 4.0)
         g2 = report.g2
+    else:
+        g2 = hbt.normalize_g2(hist, args.duration_ns).values
+    # Files are written last, so a command that fails leaves none behind.
+    _write_clicks(args.out_prefix + "_clicks.csv", clicks,
+                  _meta(cfg, "g2", kind=args.kind, stage="clicks",
+                        detuning_nm=args.detuning_nm))
+    if args.pulsed:
         write_csv(args.out_prefix + "_peaks.csv",
                   {"peak_index": report.peak_offsets,
                    "offset_ns": report.peak_offsets * period,
@@ -360,8 +368,6 @@ def cmd_g2(args) -> int:
                   _meta(cfg, "g2", stage="peak-areas",
                         central_ratio=report.ratio,
                         half_window_ns=report.half_window_ns))
-    else:
-        g2 = hbt.normalize_g2(hist, args.duration_ns).values
     write_csv(args.out_prefix + "_histogram.csv",
               {"tau_ns": hist.centers_ns, "counts": hist.counts, "g2": g2},
               _meta(cfg, "g2", kind=args.kind, stage="histogram",
@@ -388,11 +394,11 @@ _FIT_COLUMNS = {
 def _fit_from_csv(args, cfg: RunConfig) -> fitkit.FitResult:
     try:
         _, cols = read_csv(args.data)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read --data: {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"cannot read --data: {exc}") from exc
     need = _FIT_COLUMNS[args.model]
     if not all(c in cols for c in need):
-        raise ConfigError(f"{args.model} fit needs the columns {','.join(need)}")
+        raise ValueError(f"{args.model} fit needs the columns {','.join(need)}")
     if args.model == "lorentz":
         spec = Spectrum(cols["wavelength_nm"], cols["intensity"], "wavelength_nm")
         return fitkit.fit_lorentzians(spec, args.n_peaks,
@@ -418,12 +424,11 @@ def cmd_fit(args) -> int:
     for flag, value in (("--gaussian-fwhm-nm", args.gaussian_fwhm_nm),
                         ("--irf-ps", args.irf_ps)):
         if value is not None and value < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {value}")
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     cfg = load_config(args)
-    try:
-        result = _fit_from_csv(args, cfg)
-    except fitkit.FitError as exc:
-        raise dynamics.NumericalError(str(exc)) from exc
+    result = _fit_from_csv(args, cfg)
+    if not result.converged:
+        raise fitkit.FitError(f"fit did not converge: {result.message}")
     names = list(result.params)
     write_csv(args.out,
               {"param": np.array(names),
@@ -434,9 +439,6 @@ def cmd_fit(args) -> int:
                     n_iterations=result.n_iterations,
                     **{f"derived_{k}": v for k, v in result.derived.items()
                        if isinstance(v, (int, float, bool))}))
-    if not result.converged:
-        print(f"fit did not converge: {result.message}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_OK
 
 
@@ -530,9 +532,9 @@ def _check_flags(args) -> None:
     """Refuse a float flag that is not finite and a grid of under 3 points."""
     for key, value in vars(args).items():
         if type(value) is float and not math.isfinite(value):
-            raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
     if getattr(args, "points", 3) < 3:
-        raise ConfigError(f"--points must be at least 3, got {args.points}")
+        raise ValueError(f"--points must be at least 3, got {args.points}")
 
 
 def main(argv=None) -> int:
@@ -541,12 +543,12 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (dynamics.NumericalError, fitkit.FitError, ValueError) as exc:
+    except (dynamics.NumericalError, fitkit.FitError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # after LinAlgError, which is a ValueError
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

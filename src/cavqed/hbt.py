@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CorrelationTrace
+from .dynamics import CorrelationTrace, NumericalError
 from .units import philox
 
 __all__ = [
@@ -255,7 +255,7 @@ def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
     side = areas[offsets != 0]
     mean_side = float(side.mean())
     if mean_side <= 0:
-        raise ValueError("no counts in the side peaks; cannot form a ratio")
+        raise NumericalError("no counts in the side peaks; cannot form a ratio")
     return PeakAreaReport(ratio=central / mean_side,
                           peak_offsets=offsets, peak_areas=areas,
                           half_window_ns=half_window_ns,

@@ -154,10 +154,9 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class LifetimeBudget:
-    """Exciton lifetime and its decay rate into the cavity, gamma_SE."""
+    """Exciton lifetime tau = 1/(2*pi*(gamma_b + gamma_SE))."""
 
     tau_ns: float
-    gamma_cavity_GHz: float
 
 
 def _complex_eigenvalues(lambda_m_nm, dw_GHz, g_GHz, gamma_x_GHz, gamma_m_GHz):
@@ -275,7 +274,4 @@ def purcell_lifetime(p: SystemParams, detuning: Detuning) -> LifetimeBudget:
         raise ValueError("purcell_lifetime requires a lossy cavity (gamma_m > 0)")
     dw = detuning.dw_GHz
     gamma_se = p.gamma_m_GHz * p.g_GHz**2 / (dw**2 + (p.gamma_m_GHz / 2.0) ** 2)
-    return LifetimeBudget(
-        tau_ns=lifetime_from_fwhm(p.gamma_b_GHz + gamma_se),
-        gamma_cavity_GHz=gamma_se,
-    )
+    return LifetimeBudget(tau_ns=lifetime_from_fwhm(p.gamma_b_GHz + gamma_se))

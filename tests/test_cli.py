@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cavqed import csvio, dynamics, trajectories
+from cavqed import csvio, dynamics, fitkit, trajectories
 from cavqed.cli import main
 from cavqed.csvio import read_csv, write_csv
 from cavqed.instrument import InstrumentConfig
@@ -622,3 +622,69 @@ def _bi(tmp_path):
                                   _irf_ps, _bi], ids=lambda case: case.__name__[1:])
 def test_cli_flag_has_its_effect(tmp_path, case):
     case(tmp_path)
+
+
+# Inputs that the library or the CLI refuses, the two flags a mode would ignore
+# among them: each exits 2 with one line that says why, and writes nothing.
+_REFUSED = {
+    "cw-without-pump": ["g2", "--method", "trajectories", "--seed", "3",
+                        "--duration-ns", "100", "--set", "system.pump_GHz=0"],
+    "charged-state-near": ["spectrum", "--mode", "diffused",
+                           "--set", "telegraph.detuned_offset_GHz=-10"],
+    "lossless-cavity": ["lifetime", "--dl-start", "0", "--dl-end", "1", "--steps", "2",
+                        "--set", "system.gamma_m_GHz=0"],
+    "master-grid-too-coarse": ["spectrum", "--mode", "master", "--points", "3"],
+    "pulsed-window-too-short": [*PULSED_G2[:-1], "pulses.n_pulses=200",
+                                "--window-ns", "20"],
+    "config-not-utf8": ["spectrum", "--config", "{config}"],
+    "regression-instrument": ["g2", "--method", "regression", "--instrument"],
+    "fast-without-diffused": ["spectrum", "--fast"],
+}
+
+
+def _outputs(args, tmp_path):
+    """The output flag of the command in ``args``, naming a file in ``tmp_path``."""
+    return ["--out-prefix", tmp_path / "o"] if args[0] == "g2" else ["--out", tmp_path / "o.csv"]
+
+
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_refused_input_exits_2_and_writes_nothing(tmp_path, tmp_path_factory, capsys, name):
+    config = tmp_path_factory.mktemp("config") / "latin1.json"
+    config.write_bytes('{"seed": "\xe9"}'.encode("latin-1"))  # not UTF-8
+    args = [a.format(config=config) for a in _REFUSED[name]]
+    assert run([*args, *_outputs(args, tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    flag = next((a for a in ("--instrument", "--fast") if a in args), "")
+    assert flag in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def _decompose_fails(*args):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
+def _fit_stalls(*args, **kwargs):
+    return fitkit.FitResult({"g_GHz": 20.0}, {"g_GHz": 1.0}, 1.0, 200, False,
+                            "iteration limit")
+
+
+@pytest.mark.parametrize("args, patch", [
+    (["g2", "--kind", "cross", "--method", "trajectories", "--seed", "3",
+      "--duration-ns", "200", "--set", "system.gamma_b_GHz=0"], None),
+    (["spectrum", "--mode", "master"], (dynamics, "_decompose", _decompose_fails)),
+    (["fit", "--model", "lifetime", "--data", "{data}"],
+     (fitkit, "fit_lifetime_curve", _fit_stalls)),
+], ids=["dark-exciton-cross", "linalg-error", "unconverged-fit"])
+def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, tmp_path_factory,
+                                                      monkeypatch, capsys, args, patch):
+    data = tmp_path_factory.mktemp("data") / "tau.csv"
+    write_csv(data, {"dl_nm": np.array([0.0, 1.0, 2.0]),
+                     "tau_ns": np.array([0.1, 1.0, 3.0])}, {})
+    if patch:
+        monkeypatch.setattr(*patch)
+    args = [a.format(data=data) for a in args]
+    assert run([*args, *_outputs(args, tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert not list(tmp_path.iterdir())

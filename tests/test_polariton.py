@@ -163,12 +163,16 @@ class TestPurcell:
 
     def test_detuned_value(self):
         r = purcell_lifetime(self.P, Detuning.from_nm(4.1, 942.5))
-        assert r.gamma_cavity_GHz == pytest.approx(5.39e-3, rel=0.002)
+        # the decay rate into the cavity, gamma_SE = 1/(2 pi tau) - gamma_b
+        gamma_se = 1.0 / (2 * math.pi * r.tau_ns) - self.P.gamma_b_GHz
+        assert gamma_se == pytest.approx(5.39e-3, rel=0.002)
         assert r.tau_ns == pytest.approx(7.8, abs=0.05)
 
     def test_resonant_value(self):
         r = purcell_lifetime(self.P, RES)
-        assert r.gamma_cavity_GHz == pytest.approx(4 * 20.7**2 / 24.1, rel=1e-9)
+        # gamma_SE = 4 g^2 / gamma_m at resonance
+        gamma_tot = self.P.gamma_b_GHz + 4 * 20.7**2 / 24.1
+        assert r.tau_ns == pytest.approx(1.0 / (2 * math.pi * gamma_tot), rel=1e-9)
         assert r.tau_ns == pytest.approx(2.2e-3, abs=0.5e-4)
 
     def test_uncoupled_background_only(self):

@@ -9,8 +9,8 @@ to emitted CSV files).
 Configuration lives in one JSON file with sections mirroring the config
 dataclasses; any value can be overridden from the command line with
 ``--set section.key=value``.  The exception type alone sets the exit code,
-in ``main``: a ``NumericalError``, ``FitError`` or ``LinAlgError`` is a
-numerical failure (3), and any other ``ValueError`` a refused input (2).
+in ``main``: a ``NumericalError`` or ``LinAlgError`` is a numerical failure
+(3), and any other ``ValueError`` or a path's ``OSError`` a refused input (2).
 A command writes its files only after every step that can fail, so a
 non-zero exit leaves no file.  ``--fast`` outside diffused mode and
 ``--pulsed`` or ``--instrument`` with a regression ``g2`` are refused, not
@@ -139,8 +139,6 @@ def load_config(args) -> RunConfig:
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -392,10 +390,7 @@ _FIT_COLUMNS = {
 
 
 def _fit_from_csv(args, cfg: RunConfig) -> fitkit.FitResult:
-    try:
-        _, cols = read_csv(args.data)
-    except OSError as exc:
-        raise ValueError(f"cannot read --data: {exc}") from exc
+    _, cols = read_csv(args.data)
     need = _FIT_COLUMNS[args.model]
     if not all(c in cols for c in need):
         raise ValueError(f"{args.model} fit needs the columns {','.join(need)}")
@@ -428,7 +423,7 @@ def cmd_fit(args) -> int:
     cfg = load_config(args)
     result = _fit_from_csv(args, cfg)
     if not result.converged:
-        raise fitkit.FitError(f"fit did not converge: {result.message}")
+        raise dynamics.NumericalError(f"fit did not converge: {result.message}")
     names = list(result.params)
     write_csv(args.out,
               {"param": np.array(names),
@@ -543,10 +538,10 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except (dynamics.NumericalError, fitkit.FitError, np.linalg.LinAlgError) as exc:
+    except (dynamics.NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:  # after LinAlgError, which is a ValueError
+    except (ValueError, OSError) as exc:  # after LinAlgError, which is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -51,7 +51,10 @@ def _format_column(a: np.ndarray) -> list[str]:
 
 
 def write_csv(path, columns: dict, meta: dict) -> None:
-    """Write named columns with metadata; atomic replace on completion."""
+    """Write named columns with metadata; atomic replace on completion.
+
+    A failed write or rename removes its temporary file and re-raises.
+    """
     path = Path(path)
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
@@ -64,8 +67,12 @@ def write_csv(path, columns: dict, meta: dict) -> None:
     payload = "\n".join(lines) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(payload)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path):

@@ -27,13 +27,13 @@ import numpy as np
 from scipy.special import erfc, voigt_profile, wofz
 
 from . import polariton
+from .dynamics import NumericalError
 from .hbt import Histogram
 from .polariton import Spectrum, SystemParams
 from .units import FWHM_TO_SIGMA, SPEED_OF_LIGHT_NM_GHZ, detuning_to_frequency
 
 __all__ = [
     "FitResult",
-    "FitError",
     "levenberg_marquardt",
     "fit_lorentzians",
     "fit_anticrossing",
@@ -42,10 +42,6 @@ __all__ = [
     "fit_damped_modes",
     "peak_locations",
 ]
-
-
-class FitError(RuntimeError):
-    """Unusable input or irrecoverable failure inside a fit."""
 
 
 @dataclass
@@ -178,12 +174,12 @@ def peak_locations(axis: np.ndarray, intensity: np.ndarray, n_peaks: int) -> np.
     axis = np.asarray(axis, float)
     y = np.asarray(intensity, float)
     if axis.size < 5:
-        raise FitError("need at least 5 samples to locate peaks")
+        raise ValueError("need at least 5 samples to locate peaks")
     kernel = np.ones(5) / 5.0
     ys = np.convolve(y, kernel, mode="same")
     interior = np.nonzero((ys[1:-1] >= ys[:-2]) & (ys[1:-1] > ys[2:]))[0] + 1
     if interior.size < n_peaks:
-        raise FitError(f"found only {interior.size} of {n_peaks} requested peaks")
+        raise NumericalError(f"found only {interior.size} of {n_peaks} requested peaks")
     prominence = [_prominence(ys, i) for i in interior]
     i = interior[np.argsort(prominence)[::-1][:n_peaks]]
     y0, y1, y2 = y[i - 1], y[i], y[i + 1]
@@ -260,11 +256,11 @@ def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
     area fractions are reported in ``derived``.
     """
     if not 1 <= n_peaks <= 3:
-        raise FitError("n_peaks must be 1, 2 or 3")
+        raise ValueError("n_peaks must be 1, 2 or 3")
     x = np.asarray(data.axis, float)
     y = np.asarray(data.intensity, float)
     if x.size < 3 * n_peaks + 1:
-        raise FitError("not enough samples for the requested peak count")
+        raise ValueError("not enough samples for the requested peak count")
     sigma_g = gaussian_fwhm * FWHM_TO_SIGMA
     if init is None:
         floor = float(np.percentile(y, 5))
@@ -340,9 +336,9 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
     dl = np.asarray(dl_nm, float)
     lam = np.asarray(lambda_nm, float)
     if dl.size != lam.size or dl.size < 6:
-        raise FitError("need at least 6 (detuning, wavelength) points")
+        raise ValueError("need at least 6 (detuning, wavelength) points")
     if np.ptp(dl) <= 0:
-        raise FitError("all points at a single detuning cannot constrain a crossing")
+        raise ValueError("all points at a single detuning cannot constrain a crossing")
     init = dict(init or {})
     lambda_x0 = init.get("lambda_x_nm", float(np.median(lam)))
     gx = abs(init.get("gamma_x_GHz", 8.5))
@@ -367,7 +363,7 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
     blue0, red0 = _branch_wavelengths(dl, g0, lambda_x0, gx, gm)
     on_blue = np.abs(lam - blue0) <= np.abs(lam - red0)
     if on_blue.all() or (~on_blue).all():
-        raise FitError("data lie entirely on one polariton branch")
+        raise ValueError("data lie entirely on one polariton branch")
 
     def residual(p):
         shift = p[-1] if fit_offset else 0.0
@@ -408,11 +404,11 @@ def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
     dl = np.asarray(dl_nm, float)
     tau = np.asarray(tau_ns, float)
     if dl.size != tau.size or dl.size < 3:
-        raise FitError("need at least 3 (detuning, lifetime) points")
+        raise ValueError("need at least 3 (detuning, lifetime) points")
     if np.unique(np.abs(dl)).size < 2:
-        raise FitError("all points at the same |detuning| cannot constrain g")
+        raise ValueError("all points at the same |detuning| cannot constrain g")
     if np.any(tau <= 0):
-        raise FitError("lifetimes must be positive")
+        raise ValueError("lifetimes must be positive")
     w = 1.0 / tau
     dw = detuning_to_frequency(dl, lambda_ref_nm)
     denom = dw**2 + (gamma_m_GHz / 2.0) ** 2
@@ -496,7 +492,7 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
     else:
         t, counts = np.asarray(h[0], float), np.asarray(h[1], float)
     if t.size < 10:
-        raise FitError("need at least 10 bins to fit a decay")
+        raise ValueError("need at least 10 bins to fit a decay")
     sigma = (irf_fwhm_ns or 0.0) * FWHM_TO_SIGMA
     init = dict(init or {})
     # Background: median of the lowest-decile bins, robust to slow decays
@@ -533,7 +529,7 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
                        init.get("amplitude_2", 0.3 * a0),
                        init.get("tau2_ns", 3.0 * tau0), t0_0, b0])
     else:
-        raise FitError("model must be 'mono' or 'bi'")
+        raise ValueError("model must be 'mono' or 'bi'")
     if fix_t0 is not None:
         i_t0 = names.index("t0_ns")
         names = [n for n in names if n != "t0_ns"]
@@ -620,7 +616,7 @@ def fit_damped_modes(values: np.ndarray, dt: float, n_modes: int):
     """
     v = np.asarray(values)
     if v.size < 2 * n_modes + 1:
-        raise FitError("too few samples for the requested mode count")
+        raise ValueError("too few samples for the requested mode count")
     cols = [v[n_modes - m: v.size - m] for m in range(1, n_modes + 1)]
     a, *_ = np.linalg.lstsq(np.stack(cols, axis=1), -v[n_modes:], rcond=None)
     roots = np.roots(np.concatenate([[1.0], a]))

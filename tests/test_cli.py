@@ -636,10 +636,44 @@ _REFUSED = {
     "master-grid-too-coarse": ["spectrum", "--mode", "master", "--points", "3"],
     "pulsed-window-too-short": [*PULSED_G2[:-1], "pulses.n_pulses=200",
                                 "--window-ns", "20"],
-    "config-not-utf8": ["spectrum", "--config", "{config}"],
+    "config-not-utf8": ["spectrum", "--config", "{inputs}/latin1.json"],
     "regression-instrument": ["g2", "--method", "regression", "--instrument"],
     "fast-without-diffused": ["spectrum", "--fast"],
+    "fit-lifetime-two-rows": ["fit", "--model", "lifetime", "--data", "{inputs}/tau2.csv"],
+    "fit-lifetime-negative": ["fit", "--model", "lifetime", "--data",
+                              "{inputs}/tau_negative.csv"],
+    "fit-decay-three-bins": ["fit", "--model", "decay", "--data", "{inputs}/decay3.csv"],
+    "fit-anticross-four-points": ["fit", "--model", "anticross", "--data",
+                                  "{inputs}/anticross2.csv"],
+    "fit-lorentz-four-samples": ["fit", "--model", "lorentz", "--data",
+                                 "{inputs}/lorentz4.csv"],
+    "anticross-four-samples": ["anticross", "--dl-start", "0", "--dl-end", "1",
+                               "--steps", "2", "--points", "4"],
+    "data-missing": ["fit", "--model", "lifetime", "--data", "{inputs}/missing.csv"],
+    "config-missing": ["spectrum", "--config", "{inputs}/missing.json"],
+    "out-parent-is-file": ["spectrum", "--points", "301", "--no-instrument",
+                           "--out", "{inputs}/file/o.csv"],
+    "out-is-directory": ["spectrum", "--points", "301", "--no-instrument",
+                         "--out", "{inputs}/directory"],
 }
+
+
+def _refused_inputs(folder):
+    """The files the refused commands read, and a file and a directory in the
+    way of an ``--out``."""
+    (folder / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))  # not UTF-8
+    for name, columns in (
+            ("tau2.csv", {"dl_nm": [0.0, 1.0], "tau_ns": [0.1, 1.0]}),
+            ("tau_negative.csv", {"dl_nm": [0.0, 1.0, 2.0], "tau_ns": [0.1, -1.0, 3.0]}),
+            ("decay3.csv", {"tau_ns": [0.0, 1.0, 2.0], "counts": [5.0, 3.0, 1.0]}),
+            ("anticross2.csv", {"dl_nm": [0.0, 1.0], "lambda_blue_nm": [942.4, 942.3],
+                                "lambda_red_nm": [942.6, 942.7]}),
+            ("lorentz4.csv", {"wavelength_nm": [942.0, 942.1, 942.2, 942.3],
+                              "intensity": [1.0, 2.0, 1.5, 1.0]})):
+        write_csv(folder / name, {k: np.array(v) for k, v in columns.items()}, {})
+    (folder / "file").write_text("")
+    (folder / "directory").mkdir()
+    return folder
 
 
 def _outputs(args, tmp_path):
@@ -649,15 +683,17 @@ def _outputs(args, tmp_path):
 
 @pytest.mark.parametrize("name", list(_REFUSED))
 def test_refused_input_exits_2_and_writes_nothing(tmp_path, tmp_path_factory, capsys, name):
-    config = tmp_path_factory.mktemp("config") / "latin1.json"
-    config.write_bytes('{"seed": "\xe9"}'.encode("latin-1"))  # not UTF-8
-    args = [a.format(config=config) for a in _REFUSED[name]]
-    assert run([*args, *_outputs(args, tmp_path)]) == 2
+    inputs = _refused_inputs(tmp_path_factory.mktemp("inputs"))
+    before = sorted(inputs.rglob("*"))
+    args = [a.format(inputs=inputs) for a in _REFUSED[name]]
+    outputs = [] if "--out" in args else _outputs(args, tmp_path)
+    assert run([*args, *outputs]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
     flag = next((a for a in ("--instrument", "--fast") if a in args), "")
     assert flag in err[0]
     assert not list(tmp_path.iterdir())
+    assert sorted(inputs.rglob("*")) == before  # no temporary file beside an --out
 
 
 def _decompose_fails(*args):
@@ -675,7 +711,9 @@ def _fit_stalls(*args, **kwargs):
     (["spectrum", "--mode", "master"], (dynamics, "_decompose", _decompose_fails)),
     (["fit", "--model", "lifetime", "--data", "{data}"],
      (fitkit, "fit_lifetime_curve", _fit_stalls)),
-], ids=["dark-exciton-cross", "linalg-error", "unconverged-fit"])
+    (["anticross", "--dl-start", "0", "--dl-end", "1", "--steps", "2",
+      "--set", "system.g_GHz=1"], None),
+], ids=["dark-exciton-cross", "linalg-error", "unconverged-fit", "weak-coupling-anticross"])
 def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, tmp_path_factory,
                                                       monkeypatch, capsys, args, patch):
     data = tmp_path_factory.mktemp("data") / "tau.csv"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cavqed import fitkit, polariton
+from cavqed.dynamics import NumericalError
 from cavqed.fitkit import (
-    FitError,
     fit_anticrossing,
     fit_damped_modes,
     fit_decay,
@@ -107,7 +107,7 @@ class TestLorentzians:
 
     def test_too_few_points_rejected(self):
         x = np.linspace(0, 1, 5)
-        with pytest.raises(FitError):
+        with pytest.raises(ValueError, match="not enough samples for the requested peak"):
             fit_lorentzians(Spectrum(x, np.ones(5), "wavelength_nm"), 2)
 
     @pytest.mark.parametrize("gaussian_fwhm", [0.0, 0.6, 2.0])
@@ -160,13 +160,13 @@ class TestAnticrossing:
         assert abs(r.params["g_GHz"]) < 2.0 * r.stderr["g_GHz"] + 0.5
 
     def test_single_branch_rejected(self):
-        dl, lam = synth_anticross(18.4, np.linspace(0.2, 0.4, 5))
-        keep = lam > 942.5  # red branch only
-        with pytest.raises(FitError):
+        dl, lam = synth_anticross(18.4, np.linspace(0.2, 0.4, 8))
+        keep = lam > 942.5  # red branch only, 8 points
+        with pytest.raises(ValueError, match="data lie entirely on one polariton branch"):
             fit_anticrossing(dl[keep], lam[keep])
 
     def test_single_detuning_rejected(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValueError, match="all points at a single detuning"):
             fit_anticrossing(np.zeros(8), 942.5 + 0.01 * np.arange(8))
 
     @pytest.mark.parametrize("g,gx,gm", [
@@ -227,7 +227,7 @@ class TestLifetimeCurve:
         assert abs(r.params["g_GHz"]) < 2.0 * r.stderr["g_GHz"] + 0.5
 
     def test_same_detuning_rejected(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValueError, match=r"all points at the same \|detuning\|"):
             fit_lifetime_curve(np.full(5, 2.0), np.linspace(1, 2, 5), 24.1, 942.5)
 
 
@@ -349,7 +349,7 @@ def test_peak_locations_orders_and_refines():
     y = lorentz(x, 3.0, 0.5, 1.0) + lorentz(x, 7.2, 0.5, 0.7)
     got = peak_locations(x, y, 2)
     assert got == pytest.approx([3.0, 7.2], abs=0.02)
-    with pytest.raises(FitError):
+    with pytest.raises(NumericalError, match="found only 2 of 5 requested peaks"):
         peak_locations(x, y, 5)
 
 

@@ -6,9 +6,14 @@ among the names, attributes and keyword arguments that ``src/``,
 ``perfbench/``, ``scripts/`` and the README's Python blocks use.  A name
 that only tests reach is dead code to delete, with its tests, or a
 deliberate reference to add to ``TEST_ONLY``.
+
+A second scan finds the exception classes that ``src/cavqed`` defines:
+only ``NumericalError`` and ``WeakCouplingError``, the types whose exit
+codes ``cli.main`` knows (3, and 2 as a ``ValueError``).
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -64,3 +69,23 @@ def test_every_library_name_has_a_caller_outside_the_tests():
               for name in _defined(ast.parse(path.read_text()))
               if not (name.startswith("__") and name.endswith("__")) and name not in used}
     assert {name.split(".")[1] for name in unused} == TEST_ONLY, sorted(unused)
+
+
+def _base_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def test_the_package_defines_only_the_exceptions_main_maps_to_exit_codes():
+    # An exception class has a builtin exception, a name ending in "Error" or
+    # an exception class found earlier among its bases.
+    known = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    defined = set()
+    for path in sorted((ROOT / "src" / "cavqed").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    name in known or name.endswith("Error")
+                    for name in map(_base_name, node.bases)):
+                known.add(node.name)
+                defined.add(f"{path.stem}.{node.name}")
+    assert defined == {"dynamics.NumericalError", "polariton.WeakCouplingError"}

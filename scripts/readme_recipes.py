@@ -4,7 +4,9 @@ example"; exit 1 if any fails.  Warnings are errors, as they are under pytest.
 Each ``cavqed ...`` line (backslash continuations joined) runs as
 ``python -m cavqed.cli ...`` in one working directory, in README order, so a
 recipe can read the files an earlier one wrote.  The library example then
-runs as one ``python -c`` script in the same directory.
+runs as one ``python -c`` script in the same directory.  Each run prints
+its exit code and wall time, so the log is an end-to-end timing of the
+recipes.
 
     python scripts/readme_recipes.py [--keep DIR]
 
@@ -24,6 +26,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,16 +50,16 @@ def library_example() -> str:
 def run_all(commands: list[list[str]], example: str, workdir: Path) -> int:
     env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    runs = [([sys.executable, "-m", "cavqed.cli", *args], f"cavqed {shlex.join(args)}")
+            for args in commands]
+    runs.append(([sys.executable, "-c", example], "README library example"))
     failed = 0
-    for args in commands:
-        code = subprocess.run([sys.executable, "-m", "cavqed.cli", *args],
-                              cwd=workdir, env=env).returncode
-        print(f"exit {code}: cavqed {shlex.join(args)}", flush=True)
+    for argv, label in runs:
+        start = time.perf_counter()
+        code = subprocess.run(argv, cwd=workdir, env=env).returncode
+        print(f"exit {code} in {time.perf_counter() - start:.2f} s: {label}", flush=True)
         failed += code != 0
-    code = subprocess.run([sys.executable, "-c", example],
-                          cwd=workdir, env=env).returncode
-    print(f"exit {code}: README library example", flush=True)
-    return failed + (code != 0)
+    return failed
 
 
 def main(argv=None) -> int:

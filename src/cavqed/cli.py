@@ -12,12 +12,15 @@ dataclasses; any value can be overridden from the command line with
 in ``main``: a ``NumericalError`` or ``LinAlgError`` is a numerical failure
 (3), and any other ``ValueError`` or a path's ``OSError`` a refused input (2).
 A command writes its files only after every step that can fail, so a
-non-zero exit leaves no file.  ``--fast`` outside diffused mode and
-``--pulsed`` or ``--instrument`` with a regression ``g2`` are refused, not
-ignored.  Every stochastic command requires a seed.  A CW trajectory
-``g2`` simulates one emitter for ``--duration-ns``.  A trajectory
-``lifetime`` point is the maximum-likelihood lifetime of the clicks folded
-onto one repetition period, read off their mean folded time; it exits 3
+non-zero exit leaves no file.  A flag that the chosen mode would ignore is
+refused: ``--fast`` outside diffused mode, ``--pulsed``, ``--instrument``,
+``--duration-ns`` or ``--estimator`` with a regression ``g2``, and
+``--duration-ns`` with ``--pulsed``.  Every stochastic command requires a
+seed.  A trajectory ``g2`` histograms with ``--estimator`` (default
+``all-pairs``), and a CW one simulates one emitter for ``--duration-ns``
+(default 10^6 ns).  A trajectory ``lifetime`` point is the
+maximum-likelihood lifetime of the clicks folded onto one repetition
+period, read off their mean folded time; it exits 3
 when that lifetime is not below the period.  ``spectrum`` resamples onto
 the spectrometer's wavelength step only to convolve; with
 ``--no-instrument`` it writes the computed grid.
@@ -307,20 +310,29 @@ def _write_clicks(path, clicks: trajectories.ClickStream, meta: dict) -> None:
 
 
 def cmd_g2(args) -> int:
-    if not (args.bin_ns > 0 and args.window_ns > args.bin_ns and args.duration_ns > 0):
+    duration_ns = 1e6 if args.duration_ns is None else args.duration_ns
+    estimator = args.estimator or "all-pairs"
+    if not (args.bin_ns > 0 and args.window_ns > args.bin_ns and duration_ns > 0):
         raise ValueError("g2 needs --bin-ns > 0, --window-ns > --bin-ns "
                          "and --duration-ns > 0")
     if args.window_ns / args.bin_ns > hbt.MAX_BINS_PER_SIDE:
         raise ValueError(f"g2 needs --window-ns / --bin-ns <= {hbt.MAX_BINS_PER_SIDE}, "
                          f"got {args.window_ns / args.bin_ns:.3g}")
+    if args.method == "regression":
+        given = [flag for flag, value in (
+            ("--pulsed", args.pulsed), ("--instrument", args.instrument),
+            ("--duration-ns", args.duration_ns is not None),
+            ("--estimator", args.estimator is not None)) if value]
+        if given:
+            raise ValueError(f"regression g2 is a CW steady-state correlation with no "
+                             f"clicks: {given[0]} needs --method trajectories")
+    elif args.pulsed and args.duration_ns is not None:
+        raise ValueError("pulsed g2 runs pulses.n_pulses pulses: --duration-ns "
+                         "needs a CW g2 (no --pulsed)")
     cfg = load_config(args)
     det = _detuning(cfg, args.detuning_nm)
     p = cfg.system.with_detuning(det)
     if args.method == "regression":
-        if args.pulsed or args.instrument:
-            flag = "--pulsed" if args.pulsed else "--instrument"
-            raise ValueError(f"regression g2 is CW only and has no detectors: "
-                             f"{flag} needs --method trajectories")
         tau = np.arange(0.0, args.window_ns + args.bin_ns, args.bin_ns)
         if args.kind == "auto":
             trace = dynamics.g2_auto(p, det, tau)
@@ -335,7 +347,7 @@ def cmd_g2(args) -> int:
     if args.pulsed:
         clicks = trajectories.run_pulsed(p, det, cfg.pulses, seed=seed)
     else:
-        clicks = trajectories.run_cw(p, det, args.duration_ns, seed)
+        clicks = trajectories.run_cw(p, det, duration_ns, seed)
     if args.instrument:
         clicks = instrument.jitter_and_thin(clicks, cfg.instrument, seed=seed + 1)
     if args.kind == "auto":
@@ -347,13 +359,13 @@ def cmd_g2(args) -> int:
         raise dynamics.NumericalError("no clicks on one detector; nothing to correlate")
     hist = hbt.start_stop_histogram(starts, stops, bin_ns=args.bin_ns,
                                     window_ns=args.window_ns,
-                                    estimator=args.estimator)
+                                    estimator=estimator)
     if args.pulsed:
         period = cfg.pulses.rep_period_ns
         report = hbt.pulsed_peak_areas(hist, period, period / 4.0)
         g2 = report.g2
     else:
-        g2 = hbt.normalize_g2(hist, args.duration_ns).values
+        g2 = hbt.normalize_g2(hist, duration_ns).values
     # Files are written last, so a command that fails leaves none behind.
     _write_clicks(args.out_prefix + "_clicks.csv", clicks,
                   _meta(cfg, "g2", kind=args.kind, stage="clicks",
@@ -369,7 +381,7 @@ def cmd_g2(args) -> int:
     write_csv(args.out_prefix + "_histogram.csv",
               {"tau_ns": hist.centers_ns, "counts": hist.counts, "g2": g2},
               _meta(cfg, "g2", kind=args.kind, stage="histogram",
-                    estimator=args.estimator, bin_ns=args.bin_ns,
+                    estimator=estimator, bin_ns=args.bin_ns,
                     n_starts=hist.n_starts, n_stops=hist.n_stops,
                     detuning_nm=args.detuning_nm))
     return EXIT_OK
@@ -495,12 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
                     default="regression")
     sp.add_argument("--pulsed", action="store_true")
     sp.add_argument("--detuning-nm", type=float, default=0.0)
-    sp.add_argument("--duration-ns", type=float, default=1e6,
-                    help="CW acquisition length of the one emitter (trajectories)")
+    sp.add_argument("--duration-ns", type=float, default=None,
+                    help="CW trajectories: acquisition length of the one emitter "
+                         "(default 1e6)")
     sp.add_argument("--window-ns", type=float, default=100.0)
     sp.add_argument("--bin-ns", type=float, default=0.25)
-    sp.add_argument("--estimator", choices=["all-pairs", "start-stop"],
-                    default="all-pairs")
+    sp.add_argument("--estimator", choices=["all-pairs", "start-stop"], default=None,
+                    help="trajectories: histogram estimator (default all-pairs)")
     sp.add_argument("--instrument", action="store_true",
                     help="apply detector jitter and efficiency to the clicks")
     sp.add_argument("--out-prefix", required=True)

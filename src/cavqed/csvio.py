@@ -2,9 +2,11 @@
 
 Every file starts with ``#``-prefixed metadata lines (tool version, config
 hash, seed, command context), then one header row.  Floats are serialized
-with 9 significant digits and files are written atomically
-(write-then-rename), so identical configuration and seed produce
-byte-identical output.  No timestamps, ever.
+with 9 significant digits.  The writer formats the whole table in one pass:
+each column has one ``%`` format, and a row template repeated over the rows
+takes every value at once.  Files are written atomically (write-then-rename),
+so identical configuration and seed produce byte-identical output.  No
+timestamps, ever.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +44,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _format_column(a: np.ndarray) -> list[str]:
-    """The cells :func:`_format_cell` gives, formatted a column at a time."""
+def _column_format(a: np.ndarray) -> tuple[str, list]:
+    """A ``%`` format and the values it turns into the cells :func:`_format_cell` gives."""
     if a.dtype.kind == "f":
-        return [format(v, f".{_FLOAT_DIGITS}g") for v in a.astype(float).tolist()]
+        return f"%.{_FLOAT_DIGITS}g", a.astype(float).tolist()
     if a.dtype.kind in "iuU":
-        return list(map(str, a.tolist()))
-    return [_format_cell(v) for v in a]
+        return "%s", a.tolist()
+    return "%s", [_format_cell(v) for v in a]
 
 
 def write_csv(path, columns: dict, meta: dict) -> None:
@@ -61,10 +64,12 @@ def write_csv(path, columns: dict, meta: dict) -> None:
     length = arrays[0].shape[0]
     if any(a.shape != (length,) for a in arrays):
         raise ValueError("all columns must be 1-D and equally long")
-    lines = [f"# {k}={_format_cell(v)}" for k, v in meta.items()]
-    lines.append(",".join(names))
-    lines.extend(map(",".join, zip(*(_format_column(a) for a in arrays))))
-    payload = "\n".join(lines) + "\n"
+    head = [f"# {k}={_format_cell(v)}" for k, v in meta.items()]
+    head.append(",".join(names))
+    formats, values = zip(*map(_column_format, arrays))
+    row = ",".join(formats) + "\n"
+    payload = ("\n".join(head) + "\n"
+               + row * length % tuple(chain.from_iterable(zip(*values))))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, voigt_profile, wofz
+from scipy.special import erfc, wofz
 
 from . import polariton
 from .dynamics import NumericalError
@@ -207,17 +207,31 @@ def _halfmax_width(axis, y, center, floor) -> float:
 # multi-Lorentzian / Voigt spectra
 # ---------------------------------------------------------------------------
 
-def _line_profile(x, center, fwhm, area, sigma_g):
+def _voigt_z(x, center, fwhm, sigma_g):
+    """z = (x - center + i gamma) / (sigma sqrt 2), gamma = max(|fwhm|, 1e-12) / 2."""
     gamma = max(abs(fwhm), 1e-12) / 2.0
-    return area * voigt_profile(x - center, sigma_g, gamma)
+    return (x - center + 1j * gamma) / (sigma_g * math.sqrt(2.0))
 
 
-def _peaks_jacobian(x, p, n_peaks, sigma_g):
+def _line_profile(x, center, fwhm, area, sigma_g, wz=None):
+    """``area`` times the unit-area Lorentzian, or with ``sigma_g`` > 0 the Voigt
+    line Re w(z) / (sigma sqrt(2 pi)); ``wz`` passes w(z) when already known."""
+    if sigma_g == 0.0:
+        gamma = max(abs(fwhm), 1e-12) / 2.0
+        u = x - center
+        return area * (gamma / math.pi / (u * u + gamma * gamma))
+    if wz is None:
+        wz = wofz(_voigt_z(x, center, fwhm, sigma_g))
+    return area * wz.real / (sigma_g * math.sqrt(2.0 * math.pi))
+
+
+def _peaks_jacobian(x, p, n_peaks, sigma_g, wz=None):
     """Analytic Jacobian of a constant plus ``n_peaks`` :func:`_line_profile` terms.
 
     The Voigt profile is Re w(z) / (sigma sqrt(2 pi)) with
     z = (x - center + i gamma) / (sigma sqrt 2), and the Faddeeva function
     has w'(z) = -2 z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20).
+    ``wz`` passes the lines' w(z) at ``p`` when the model already has them.
     """
     jac = np.empty((x.size, p.size))
     jac[:, 0] = 1.0
@@ -235,13 +249,13 @@ def _peaks_jacobian(x, p, n_peaks, sigma_g):
             continue
         scale = sigma_g * math.sqrt(2.0)
         norm = 1.0 / (sigma_g * math.sqrt(2.0 * math.pi))
-        z = (u + 1j * h) / scale
-        wz = wofz(z)
+        z = _voigt_z(x, c, w, sigma_g)
+        wk = wofz(z) if wz is None else wz[k]
         # d/du of the profile is the real part of dv, d/dgamma minus its imaginary part
-        dv = (-2.0 * z * wz + 2j / math.sqrt(math.pi)) * (norm / scale)
+        dv = (-2.0 * z * wk + 2j / math.sqrt(math.pi)) * (norm / scale)
         jac[:, 1 + 3 * k] = -a * dv.real
         jac[:, 2 + 3 * k] = -0.5 * a * dv.imag * sign
-        jac[:, 3 + 3 * k] = norm * wz.real
+        jac[:, 3 + 3 * k] = norm * wk.real
     return jac
 
 
@@ -280,18 +294,24 @@ def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
             p0 += [init[f"center_{k}"], init[f"fwhm_{k}"], init[f"area_{k}"]]
     p0 = np.asarray(p0, float)
 
-    def model(p):
-        out = np.full_like(x, p[0])
-        for k in range(n_peaks):
-            c, w, a = p[1 + 3 * k: 4 + 3 * k]
-            out = out + _line_profile(x, c, w, a, sigma_g)
-        return out
+    # levenberg_marquardt asks for the Jacobian at the point of the residual
+    # just before, so the Voigt lines' w(z) there are kept for it.
+    last = {"p": None, "wz": None}
 
     def residual(p):
-        return model(p) - y
+        lines = [p[1 + 3 * k: 4 + 3 * k] for k in range(n_peaks)]
+        wz = [wofz(_voigt_z(x, c, w, sigma_g)) if sigma_g > 0 else None for c, w, _ in lines]
+        last.update(p=p.copy(), wz=wz)
+        out = np.full_like(x, p[0])
+        for (c, w, a), wk in zip(lines, wz):
+            out = out + _line_profile(x, c, w, a, sigma_g, wk)
+        return out - y
 
-    sol, cov, info = levenberg_marquardt(
-        residual, p0, jacobian=lambda p: _peaks_jacobian(x, p, n_peaks, sigma_g))
+    def jacobian(p):
+        wz = last["wz"] if np.array_equal(p, last["p"]) else None
+        return _peaks_jacobian(x, p, n_peaks, sigma_g, wz)
+
+    sol, cov, info = levenberg_marquardt(residual, p0, jacobian=jacobian)
     names = ["background"]
     for k in range(1, n_peaks + 1):
         names += [f"center_{k}", f"fwhm_{k}", f"area_{k}"]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polariton import SystemParams
-from .units import Detuning
+from .units import Detuning, detuning_GHz
 
 __all__ = [
     "GROUND",
@@ -127,7 +127,7 @@ def hamiltonian(p: SystemParams, detuning: Detuning, space: StateSpace) -> np.nd
     """
     sig, sig_d = space.sigma, space.sigma.conj().T
     return TWO_PI * (
-        -detuning.dw_GHz * (sig_d @ sig)
+        -detuning_GHz(detuning) * (sig_d @ sig)
         + p.g_GHz * (space.ad @ sig + sig_d @ space.a)
     )
 

@@ -21,6 +21,7 @@ import numpy as np
 from .units import (
     SPEED_OF_LIGHT_NM_GHZ,
     Detuning,
+    detuning_GHz,
     frequency_to_detuning,
     lifetime_from_fwhm,
     wavelength_to_frequency,
@@ -205,7 +206,7 @@ def eigenmodes(p: SystemParams, detuning: Detuning) -> PolaritonPair:
     hwhm_plus + hwhm_minus = (gamma_x + gamma_m)/2 independent of detuning.
     """
     lam_p, lam_m, omega_x, omega_m = (v.item() for v in _complex_eigenvalues(
-        p.lambda_m_nm, detuning.dw_GHz, p.g_GHz, p.gamma_x_GHz, p.gamma_m_GHz))
+        p.lambda_m_nm, detuning_GHz(detuning), p.g_GHz, p.gamma_x_GHz, p.gamma_m_GHz))
     return PolaritonPair(
         omega_plus_GHz=lam_p.real,
         omega_minus_GHz=lam_m.real,
@@ -272,6 +273,6 @@ def purcell_lifetime(p: SystemParams, detuning: Detuning) -> LifetimeBudget:
     """
     if p.gamma_m_GHz <= 0:
         raise ValueError("purcell_lifetime requires a lossy cavity (gamma_m > 0)")
-    dw = detuning.dw_GHz
+    dw = detuning_GHz(detuning)
     gamma_se = p.gamma_m_GHz * p.g_GHz**2 / (dw**2 + (p.gamma_m_GHz / 2.0) ** 2)
     return LifetimeBudget(tau_ns=lifetime_from_fwhm(p.gamma_b_GHz + gamma_se))

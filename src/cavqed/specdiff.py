@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics
 from .polariton import Spectrum, SystemParams, eigenmodes, spectral_function
-from .units import Detuning
+from .units import Detuning, detuning_GHz
 
 __all__ = ["TelegraphConfig", "averaged_spectrum"]
 
@@ -49,7 +49,7 @@ def _shifted_detuning(p: SystemParams, detuning: Detuning,
     shift = cfg.detuned_offset_GHz
     if shift is None:
         shift = -20.0 * p.g_GHz
-    shifted = Detuning.from_GHz(detuning.dw_GHz - shift, detuning.lambda_ref_nm)
+    shifted = Detuning.from_GHz(detuning_GHz(detuning) - shift, detuning.lambda_ref_nm)
     if p.g_GHz > 0 and abs(shifted.dw_GHz) <= 5.0 * p.g_GHz:
         raise ValueError(
             f"charged-state detuning {shifted.dw_GHz:.1f} GHz is not far "

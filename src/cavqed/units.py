@@ -23,6 +23,7 @@ __all__ = [
     "PLANCK_UEV_PER_GHZ",
     "FWHM_TO_SIGMA",
     "Detuning",
+    "detuning_GHz",
     "energy_to_frequency",
     "wavelength_to_frequency",
     "detuning_to_frequency",
@@ -121,3 +122,10 @@ class Detuning:
     @classmethod
     def zero(cls, lambda_ref_nm: float) -> "Detuning":
         return cls(0.0, 0.0, lambda_ref_nm)
+
+
+def detuning_GHz(detuning: Detuning) -> float:
+    """The frequency detuning ``dw_GHz``; anything but a :class:`Detuning` is refused."""
+    if not isinstance(detuning, Detuning):
+        raise ValueError(f"detuning must be a Detuning, got {detuning!r}")
+    return detuning.dw_GHz

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cavqed import csvio, dynamics, fitkit, trajectories
 from cavqed.cli import main
@@ -104,6 +105,35 @@ def test_columns_format_as_cells(tmp_path):
                 + [",".join(columns)]
                 + [",".join(csvio._format_cell(a[i]) for a in arrays) for i in range(9)])
     assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+_CELL_TEXT = st.text(st.characters(codec="utf-8", exclude_characters=",\n\r"), max_size=8)
+# Each column's element strategy and the dtype its array takes.
+_COLUMN_KINDS = {
+    "f64": (st.floats(), np.float64),
+    "f32": (st.floats(width=32), np.float32),
+    "int": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "uint8": (st.integers(0, 255), np.uint8),
+    "bool": (st.booleans(), bool),
+    "str": (_CELL_TEXT, str),
+    "obj": (st.one_of(st.integers(), st.floats(), _CELL_TEXT, st.booleans(), st.none(),
+                      st.floats(width=32).map(np.float32),
+                      st.integers(-128, 127).map(np.int8)), object),
+}
+
+
+@given(st.integers(0, 50).flatmap(lambda n: st.fixed_dictionaries(
+    {name: st.lists(element, min_size=n, max_size=n)
+     for name, (element, _) in _COLUMN_KINDS.items()})))
+@example({name: [] for name in _COLUMN_KINDS})  # zero rows: the header line alone
+def test_the_table_formats_as_cells(tmp_path_factory, values):
+    columns = {name: np.array(values[name], dtype=dtype)
+               for name, (_, dtype) in _COLUMN_KINDS.items()}
+    out = tmp_path_factory.mktemp("table") / "t.csv"
+    write_csv(out, columns, {})
+    n = len(values["f64"])
+    rows = [",".join(csvio._format_cell(a[i]) for a in columns.values()) for i in range(n)]
+    assert out.read_bytes() == "".join(f"{line}\n" for line in [",".join(columns), *rows]).encode()
 
 
 def test_ragged_row_names_file_and_line(tmp_path):
@@ -638,6 +668,9 @@ _REFUSED = {
                                 "--window-ns", "20"],
     "config-not-utf8": ["spectrum", "--config", "{inputs}/latin1.json"],
     "regression-instrument": ["g2", "--method", "regression", "--instrument"],
+    "regression-duration": ["g2", "--method", "regression", "--duration-ns", "100"],
+    "regression-estimator": ["g2", "--method", "regression", "--estimator", "start-stop"],
+    "pulsed-duration": [*PULSED_G2, "--duration-ns", "100"],
     "fast-without-diffused": ["spectrum", "--fast"],
     "fit-lifetime-two-rows": ["fit", "--model", "lifetime", "--data", "{inputs}/tau2.csv"],
     "fit-lifetime-negative": ["fit", "--model", "lifetime", "--data",
@@ -656,6 +689,10 @@ _REFUSED = {
     "out-is-directory": ["spectrum", "--points", "301", "--no-instrument",
                          "--out", "{inputs}/directory"],
 }
+# The flag that the mode would ignore, which the one line must name.
+_IGNORED_FLAG = {"regression-instrument": "--instrument", "regression-duration": "--duration-ns",
+                 "regression-estimator": "--estimator", "pulsed-duration": "--duration-ns",
+                 "fast-without-diffused": "--fast"}
 
 
 def _refused_inputs(folder):
@@ -690,8 +727,7 @@ def test_refused_input_exits_2_and_writes_nothing(tmp_path, tmp_path_factory, ca
     assert run([*args, *outputs]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
-    flag = next((a for a in ("--instrument", "--fast") if a in args), "")
-    assert flag in err[0]
+    assert _IGNORED_FLAG.get(name, "") in err[0]
     assert not list(tmp_path.iterdir())
     assert sorted(inputs.rglob("*")) == before  # no temporary file beside an --out
 

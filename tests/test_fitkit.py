@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.special import voigt_profile
 
 from cavqed import fitkit, polariton
 from cavqed.dynamics import NumericalError
@@ -123,6 +125,69 @@ class TestLorentzians:
         fd = fitkit._fd_jacobian(residual, p, residual(p))
         analytic = fitkit._peaks_jacobian(x, p, 3, sigma_g)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+
+def _voigt_triplet():
+    """A noisy three-line Voigt spectrum on a 2,365-point grid, 21 pm response."""
+    x = np.linspace(941.9, 943.1, 2365)
+    sigma_g = 0.021 * FWHM_TO_SIGMA
+    y = 0.01 + sum(a * voigt_profile(x - c, sigma_g, w / 2.0) for c, w, a in
+                   ((942.447, 0.048, 0.275), (942.5, 0.0714, 0.45), (942.553, 0.048, 0.275)))
+    y = y * (1 + 0.01 * np.random.default_rng(8).standard_normal(x.size))
+    return Spectrum(x, y, "wavelength_nm")
+
+
+class TestVoigtFaddeevaReuse:
+    def test_jacobian_adds_no_faddeeva_evaluation(self, monkeypatch):
+        calls = {"wofz": 0, "residual": 0, "jacobian": 0}
+        real_wofz, real_lm = fitkit.wofz, fitkit.levenberg_marquardt
+
+        def counting_wofz(z):
+            calls["wofz"] += 1
+            return real_wofz(z)
+
+        def counting_lm(residual, x0, jacobian=None, n_data=None):
+            def counted(name, f):
+                def call(p):
+                    calls[name] += 1
+                    return f(p)
+                return call
+            return real_lm(counted("residual", residual), x0,
+                           jacobian=counted("jacobian", jacobian), n_data=n_data)
+
+        monkeypatch.setattr(fitkit, "wofz", counting_wofz)
+        monkeypatch.setattr(fitkit, "levenberg_marquardt", counting_lm)
+        r = fit_lorentzians(_voigt_triplet(), 3, gaussian_fwhm=0.021)
+        assert r.converged and calls["jacobian"] > 1
+        assert calls["wofz"] == 3 * calls["residual"]
+
+    def test_reused_faddeeva_gives_the_recomputed_jacobian_bit_for_bit(self, monkeypatch):
+        real = fitkit._peaks_jacobian
+        reused = []
+
+        def checked(x, p, n_peaks, sigma_g, wz=None):
+            jac = real(x, p, n_peaks, sigma_g, wz)
+            if wz is not None:
+                reused.append(np.array_equal(jac, real(x, p, n_peaks, sigma_g)))
+            return jac
+
+        monkeypatch.setattr(fitkit, "_peaks_jacobian", checked)
+        r = fit_lorentzians(_voigt_triplet(), 3, gaussian_fwhm=0.021)
+        assert r.converged and reused and all(reused)
+
+    # The model rounds z = (x - c + i gamma) / (sigma sqrt 2) differently from
+    # voigt_profile's (x / sigma) / sqrt 2, and where exp(-z^2) dominates Re w
+    # that rounding moves it by about 4 |z|^2 ulp: |x - c| <= 15 sigma keeps
+    # that under 6e-14.  gamma stays above the 5e-13 floor on the half-width.
+    @given(sigma=st.floats(1e-4, 1e2), gamma_ratio=st.floats(1e-9, 1e4),
+           center=st.floats(-1e3, 1e3),
+           offsets=st.lists(st.floats(-15.0, 15.0), min_size=1, max_size=20))
+    def test_model_is_voigt_profile(self, sigma, gamma_ratio, center, offsets):
+        gamma = max(sigma * gamma_ratio, 1e-12)
+        x = center + sigma * np.array(offsets)
+        expected = voigt_profile(x - center, sigma, gamma)
+        model = fitkit._line_profile(x, center, 2.0 * gamma, 1.0, sigma)
+        np.testing.assert_allclose(model, expected, rtol=1e-13, atol=0.0)
 
 
 def synth_anticross(g, dl_list, lambda_x=942.5, gx=8.5, gm=24.1, seed=None,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cavqed import polariton
+from cavqed import hilbert, polariton, specdiff
 from cavqed.polariton import (
     SystemParams,
     WeakCouplingError,
@@ -210,3 +210,17 @@ class TestSystemParams:
         p = SystemParams(lambda_m_nm=942.5)
         q = p.with_detuning(Detuning.from_nm(4.1, 942.5))
         assert q.lambda_x_nm == pytest.approx(946.6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: eigenmodes(PAPER, d),
+    lambda d: spectral_function(np.linspace(-100.0, 100.0, 11), PAPER, d),
+    lambda d: purcell_lifetime(PAPER, d),
+    lambda d: hilbert.hamiltonian(PAPER, d, hilbert.build_space(PAPER)),
+    lambda d: specdiff.averaged_spectrum(PAPER, d, specdiff.TelegraphConfig(),
+                                         np.linspace(-500.0, 500.0, 11), mode="fast"),
+], ids=["eigenmodes", "spectral_function", "purcell_lifetime", "hamiltonian",
+        "averaged_spectrum"])
+def test_a_detuning_that_is_not_a_detuning_is_refused_by_name(call):
+    with pytest.raises(ValueError, match="^detuning must be a Detuning, got None$"):
+        call(None)

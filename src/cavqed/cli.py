@@ -57,8 +57,8 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
 
 # A config value must have its field default's type, except that a float
-# field also takes an int and a field that defaults to None takes a number;
-# a float must be finite.
+# field also takes an int and a field that defaults to None takes a number.
+# Each section's dataclass refuses the values it cannot use, NaN and ±inf too.
 _ALSO_TAKES = {float: (int, float), type(None): (type(None), int, float)}
 
 
@@ -75,8 +75,6 @@ def _section(data: dict, name: str, cls):
         value, kind = values.get(f.name), type(f.default)
         if f.name in values and type(value) not in _ALSO_TAKES.get(kind, (kind,)):
             raise ValueError(f"{name}.{f.name} must be {f.type}, got {value!r}")
-        if type(value) is float and not math.isfinite(value):
-            raise ValueError(f"{name}.{f.name} must be finite, got {value!r}")
     return cls(**values)
 
 
@@ -109,12 +107,6 @@ class RunConfig:
             telegraph=_section(data, "telegraph", TelegraphConfig),
             seed=seed,
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def hash(self) -> str:
-        return config_hash(self.to_dict())
 
 
 def _apply_overrides(data: dict, assignments: list[str]) -> dict:
@@ -160,15 +152,11 @@ def _require_seed(cfg: RunConfig) -> int:
 
 
 def _meta(cfg: RunConfig, command: str, **extra) -> dict:
-    meta = {"cavqed": __version__, "config_hash": cfg.hash(),
+    meta = {"cavqed": __version__, "config_hash": config_hash(asdict(cfg)),
             "seed": cfg.seed if cfg.seed is not None else "none",
             "command": command}
     meta.update(extra)
     return meta
-
-
-def _detuning(cfg: RunConfig, dl_nm: float) -> Detuning:
-    return Detuning.from_nm(dl_nm, cfg.system.lambda_m_nm)
 
 
 def _wavelength_grid_spectrum(spec: Spectrum, step_nm: float) -> Spectrum:
@@ -188,7 +176,7 @@ def cmd_spectrum(args) -> int:
     if args.fast and args.mode != "diffused":
         raise ValueError("--fast needs --mode diffused")
     cfg = load_config(args)
-    det = _detuning(cfg, args.detuning_nm)
+    det = Detuning.from_nm(args.detuning_nm, cfg.system.lambda_m_nm)
     p = cfg.system.with_detuning(det)
     modes = eigenmodes(p, det)
     lines = [modes.omega_minus_GHz, modes.omega_plus_GHz, p.omega_m_GHz]
@@ -304,9 +292,15 @@ def cmd_lifetime(args) -> int:
 # g2
 # ---------------------------------------------------------------------------
 
-def _write_clicks(path, clicks: trajectories.ClickStream, meta: dict) -> None:
-    labels = np.array(clicks.labels)[clicks.channel_codes]
-    write_csv(path, {"channel": labels, "time_ns": clicks.times_ns}, meta)
+def _write_tables(tables: list[tuple[str, dict, dict]]) -> None:
+    """Write each (path, columns, meta); a failed write unlinks those written before it."""
+    for i, (path, columns, meta) in enumerate(tables):
+        try:
+            write_csv(path, columns, meta)
+        except BaseException:
+            for written, _, _ in tables[:i]:
+                os.unlink(written)
+            raise
 
 
 def cmd_g2(args) -> int:
@@ -330,7 +324,7 @@ def cmd_g2(args) -> int:
         raise ValueError("pulsed g2 runs pulses.n_pulses pulses: --duration-ns "
                          "needs a CW g2 (no --pulsed)")
     cfg = load_config(args)
-    det = _detuning(cfg, args.detuning_nm)
+    det = Detuning.from_nm(args.detuning_nm, cfg.system.lambda_m_nm)
     p = cfg.system.with_detuning(det)
     if args.method == "regression":
         tau = np.arange(0.0, args.window_ns + args.bin_ns, args.bin_ns)
@@ -367,23 +361,26 @@ def cmd_g2(args) -> int:
     else:
         g2 = hbt.normalize_g2(hist, duration_ns).values
     # Files are written last, so a command that fails leaves none behind.
-    _write_clicks(args.out_prefix + "_clicks.csv", clicks,
-                  _meta(cfg, "g2", kind=args.kind, stage="clicks",
-                        detuning_nm=args.detuning_nm))
+    tables = [(args.out_prefix + "_clicks.csv",
+               {"channel": np.array(clicks.labels)[clicks.channel_codes],
+                "time_ns": clicks.times_ns},
+               _meta(cfg, "g2", kind=args.kind, stage="clicks",
+                     detuning_nm=args.detuning_nm))]
     if args.pulsed:
-        write_csv(args.out_prefix + "_peaks.csv",
-                  {"peak_index": report.peak_offsets,
-                   "offset_ns": report.peak_offsets * period,
-                   "area": report.peak_areas},
-                  _meta(cfg, "g2", stage="peak-areas",
-                        central_ratio=report.ratio,
-                        half_window_ns=report.half_window_ns))
-    write_csv(args.out_prefix + "_histogram.csv",
-              {"tau_ns": hist.centers_ns, "counts": hist.counts, "g2": g2},
-              _meta(cfg, "g2", kind=args.kind, stage="histogram",
-                    estimator=estimator, bin_ns=args.bin_ns,
-                    n_starts=hist.n_starts, n_stops=hist.n_stops,
-                    detuning_nm=args.detuning_nm))
+        tables.append((args.out_prefix + "_peaks.csv",
+                       {"peak_index": report.peak_offsets,
+                        "offset_ns": report.peak_offsets * period,
+                        "area": report.peak_areas},
+                       _meta(cfg, "g2", stage="peak-areas",
+                             central_ratio=report.ratio,
+                             half_window_ns=report.half_window_ns)))
+    tables.append((args.out_prefix + "_histogram.csv",
+                   {"tau_ns": hist.centers_ns, "counts": hist.counts, "g2": g2},
+                   _meta(cfg, "g2", kind=args.kind, stage="histogram",
+                         estimator=estimator, bin_ns=args.bin_ns,
+                         n_starts=hist.n_starts, n_stops=hist.n_stops,
+                         detuning_nm=args.detuning_nm)))
+    _write_tables(tables)
     return EXIT_OK
 
 

@@ -304,14 +304,6 @@ def _sources(model: _Model, source: str):
     return [(source, op, w)]
 
 
-def _check_undamped(weight: float, total: float, label: str) -> None:
-    if weight > _UNDAMPED_WEIGHT * total:
-        raise NumericalError(
-            f"{label} correlation has an undamped part ({weight / total:.2e} of its "
-            "weight), e.g. a coherent field: the spectrum would hold a delta line"
-        )
-
-
 def _row_slices(n: int) -> list[slice]:
     """Consecutive slices of at most ``_ROWS`` rows that cover ``n`` grid rows."""
     return [slice(s, s + _ROWS) for s in range(0, n, _ROWS)]
@@ -319,7 +311,11 @@ def _row_slices(n: int) -> list[slice]:
 
 def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
                z: np.ndarray, label: str) -> np.ndarray:
-    """Tr(op† (z − L)⁻¹ (op rho_ss)) at every z, the stationary part removed."""
+    """Tr(op† (z − L)⁻¹ (op rho_ss)) at every z, the undamped modes removed.
+
+    ``op`` must lower N, as a and σ do: off k = 0 no stationary part makes
+    the direct solve singular at z = 0.
+    """
     x0 = (op @ rho_ss).reshape(-1)
     probe0 = op.conj().reshape(-1)
     total = np.zeros(z.size, dtype=complex)
@@ -329,24 +325,20 @@ def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
         if b.vinv is not None:
             w = (probe @ b.vecs) * (b.vinv @ x)
             undamped = b.evals.real >= -_UNDAMPED_REL * float(np.max(np.abs(b.evals)))
-            _check_undamped(float(np.sum(np.abs(w[undamped]))), float(np.sum(np.abs(w))), label)
+            weight, total_weight = float(np.sum(np.abs(w[undamped]))), float(np.sum(np.abs(w)))
+            if weight > _UNDAMPED_WEIGHT * total_weight:
+                raise NumericalError(
+                    f"{label} correlation has an undamped part ({weight / total_weight:.2e} "
+                    "of its weight), e.g. a coherent field: the spectrum would hold a "
+                    "delta line")
             evals, w = b.evals[~undamped], w[~undamped]
             for rows in _row_slices(z.size):
                 total[rows] += (1.0 / np.subtract.outer(z[rows], evals)) @ w
             continue
-        # Direct solve.  Subtracting the stationary part leaves a traceless
-        # right-hand side, on which adding rho_ss ⊗ Tr leaves (z − L)⁻¹
-        # unchanged but keeps the matrix regular at z = 0.  Off k = 0 both
-        # restrict to zero, and so do these two terms.
-        rho_vec = rho_ss.reshape(-1)[b.idx]
-        trace_row = np.eye(model.space.dim).reshape(-1)[b.idx]
-        stationary = trace_row @ x
-        _check_undamped(abs(stationary * (probe @ rho_vec)), abs(probe @ x), label)
-        rhs = x - stationary * rho_vec
-        base = np.outer(rho_vec, trace_row) - b.gen
+        base = -b.gen
         ident = np.eye(b.idx.size)
         for rows in _row_slices(z.size):
-            total[rows] += [probe @ np.linalg.solve(base + zi * ident, rhs) for zi in z[rows]]
+            total[rows] += [probe @ np.linalg.solve(base + zi * ident, x) for zi in z[rows]]
     return total
 
 

@@ -84,7 +84,8 @@ def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
     the iteration cap, and below scipy ``least_squares``' default ``ftol``
     of 1e-8.
     ``n_data`` overrides the row count used for the covariance scale when the
-    residual vector carries extra constraint rows.
+    residual vector carries extra constraint rows.  The covariance is None
+    when J'J is singular, as a parameter the data do not determine makes it.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
@@ -132,7 +133,7 @@ def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
         try:
             cov = np.linalg.inv(jac.T @ jac) * cost / (m - n)
         except np.linalg.LinAlgError:
-            cov = np.linalg.pinv(jac.T @ jac) * cost / (m - n)
+            pass
     return x, cov, {"n_iterations": n_iter, "converged": converged,
                     "message": message, "residual_norm": math.sqrt(cost)}
 
@@ -360,24 +361,21 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
     if np.ptp(dl) <= 0:
         raise ValueError("all points at a single detuning cannot constrain a crossing")
     init = dict(init or {})
-    lambda_x0 = init.get("lambda_x_nm", float(np.median(lam)))
+    lambda_x0 = float(np.median(lam))
     gx = abs(init.get("gamma_x_GHz", 8.5))
     gm = abs(init.get("gamma_m_GHz", 24.1))
-    if "g_GHz" in init:
-        g0 = init["g_GHz"]
-    else:
-        # Smallest observed gap between simultaneous peaks, as frequency.
-        gaps = []
-        for d in np.unique(dl):
-            ls = np.sort(lam[dl == d])
-            if ls.size >= 2:
-                gaps.append(detuning_to_frequency(ls[-1] - ls[0], lambda_x0))
-        g0 = 0.5 * min(gaps) if gaps else 10.0
+    # Smallest observed gap between simultaneous peaks, as frequency.
+    gaps = []
+    for d in np.unique(dl):
+        ls = np.sort(lam[dl == d])
+        if ls.size >= 2:
+            gaps.append(detuning_to_frequency(ls[-1] - ls[0], lambda_x0))
+    g0 = 0.5 * min(gaps) if gaps else 10.0
     names = ["g_GHz", "lambda_x_nm"]
     p0 = [g0, lambda_x0]
     if fit_offset:
         names.append("dl_offset_nm")
-        p0.append(init.get("dl_offset_nm", 0.0))
+        p0.append(0.0)
     p0 = np.asarray(p0, float)
 
     blue0, red0 = _branch_wavelengths(dl, g0, lambda_x0, gx, gm)
@@ -410,8 +408,7 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
-                       gamma_m_GHz: float = 24.1, lambda_ref_nm: float = 942.5,
-                       init: dict | None = None) -> FitResult:
+                       gamma_m_GHz: float, lambda_ref_nm: float) -> FitResult:
     """Fit the Lorentzian lifetime-versus-detuning law for g and gamma_b.
 
     The model is 1/(2 pi tau) = gamma_b + gamma_m g^2/(dw^2 + (gamma_m/2)^2);
@@ -432,13 +429,10 @@ def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
     w = 1.0 / tau
     dw = detuning_to_frequency(dl, lambda_ref_nm)
     denom = dw**2 + (gamma_m_GHz / 2.0) ** 2
-    init = dict(init or {})
-    gamma_b0 = init.get("gamma_b_GHz", 1.0 / (2.0 * math.pi * float(np.max(tau))))
-    g0 = init.get("g_GHz")
-    if g0 is None:
-        i = int(np.argmin(tau))
-        excess = max(1.0 / (2.0 * math.pi * tau[i]) - gamma_b0, 1e-6)
-        g0 = math.sqrt(excess * denom[i] / gamma_m_GHz)
+    gamma_b0 = 1.0 / (2.0 * math.pi * float(np.max(tau)))
+    i = int(np.argmin(tau))
+    excess = max(1.0 / (2.0 * math.pi * tau[i]) - gamma_b0, 1e-6)
+    g0 = math.sqrt(excess * denom[i] / gamma_m_GHz)
 
     def model(p):
         g, gb = p

@@ -72,10 +72,6 @@ class CollapseChannel:
     rate_GHz: float
     operator: np.ndarray
 
-    def __post_init__(self):
-        if self.rate_GHz < 0:
-            raise ValueError(f"channel {self.label}: negative rate {self.rate_GHz}")
-
     @property
     def jump_operator(self) -> np.ndarray:
         """Operator including the sqrt(2*pi*rate) prefactor, in (rad/ns)^(1/2)."""

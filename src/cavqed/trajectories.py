@@ -285,8 +285,8 @@ def run_cw(p: SystemParams, detuning: Detuning, duration_ns: float, seed: int,
     """
     if p.pump_GHz <= 0 and not (p.emitter_levels == 3 and p.feeder_pump_GHz > 0):
         raise ValueError("run_cw needs a pump; use run_pulsed for pulsed excitation")
-    if duration_ns <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_ns < math.inf:  # NaN fails too
+        raise ValueError(f"duration must be positive and finite, got {duration_ns}")
     engine = _Engine(dynamics.build_model(p, detuning))
     rng = philox(seed, 0)
     times: list[float] = []

@@ -85,43 +85,38 @@ def lifetime_from_fwhm(gamma_GHz: float) -> float:
 
 @dataclass(frozen=True)
 class Detuning:
-    """Exciton-cavity spectral offset, kept consistent in both unit systems.
+    """Exciton-cavity spectral offset: the frequency detuning and its reference.
 
-    ``dl_nm`` is the wavelength detuning lambda_x - lambda_m and ``dw_GHz``
-    the frequency detuning omega_m - omega_x; both are positive when the
-    cavity is blue of the exciton.  Construct through :meth:`from_nm` or
-    :meth:`from_GHz` so the two stay consistent via the first-order relation.
+    ``dw_GHz`` is the frequency detuning omega_m - omega_x, the one number
+    every physics function reads; ``dl_nm`` is the wavelength detuning
+    lambda_x - lambda_m that it gives at ``lambda_ref_nm`` by the first-order
+    relation.  Both are positive when the cavity is blue of the exciton.
+    Construct through :meth:`from_nm`, :meth:`from_GHz` or :meth:`zero`.
     """
 
-    dl_nm: float
     dw_GHz: float
     lambda_ref_nm: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.dl_nm, self.dw_GHz, self.lambda_ref_nm))):
-            raise ValueError(f"detuning must be finite, got {self.dl_nm} nm, "
-                             f"{self.dw_GHz} GHz at {self.lambda_ref_nm} nm")
-        if self.lambda_ref_nm <= 0:
-            raise ValueError("reference wavelength must be positive")
-        expected = detuning_to_frequency(self.dl_nm, self.lambda_ref_nm)
-        scale = max(abs(expected), abs(self.dw_GHz), 1e-12)
-        if abs(expected - self.dw_GHz) > 1e-6 * scale:
-            raise ValueError(
-                f"inconsistent detuning: {self.dl_nm} nm at {self.lambda_ref_nm} nm "
-                f"is {expected} GHz, not {self.dw_GHz} GHz"
-            )
+        if not (math.isfinite(self.dw_GHz) and 0 < self.lambda_ref_nm < math.inf):
+            raise ValueError(f"detuning must be finite at a positive, finite reference, "
+                             f"got {self.dw_GHz} GHz at {self.lambda_ref_nm} nm")
+
+    @property
+    def dl_nm(self) -> float:
+        return frequency_to_detuning(self.dw_GHz, self.lambda_ref_nm)
 
     @classmethod
     def from_nm(cls, dl_nm: float, lambda_ref_nm: float) -> "Detuning":
-        return cls(dl_nm, detuning_to_frequency(dl_nm, lambda_ref_nm), lambda_ref_nm)
+        return cls(detuning_to_frequency(dl_nm, lambda_ref_nm), lambda_ref_nm)
 
     @classmethod
     def from_GHz(cls, dw_GHz: float, lambda_ref_nm: float) -> "Detuning":
-        return cls(frequency_to_detuning(dw_GHz, lambda_ref_nm), dw_GHz, lambda_ref_nm)
+        return cls(dw_GHz, lambda_ref_nm)
 
     @classmethod
     def zero(cls, lambda_ref_nm: float) -> "Detuning":
-        return cls(0.0, 0.0, lambda_ref_nm)
+        return cls(0.0, lambda_ref_nm)
 
 
 def detuning_GHz(detuning: Detuning) -> float:

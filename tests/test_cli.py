@@ -12,6 +12,7 @@ from cavqed.cli import main
 from cavqed.csvio import read_csv, write_csv
 from cavqed.instrument import InstrumentConfig
 from cavqed.polariton import SystemParams
+from cavqed.specdiff import TelegraphConfig
 from cavqed.trajectories import PulseConfig
 from cavqed.units import Detuning
 
@@ -311,22 +312,28 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, assignment):
      "--set", "system.gamma_m_GHz=Infinity"],
     ["spectrum", "--points", "-5"],
     ["spectrum", "--detuning-nm", "nan"],
-], ids=["g-nan", "gamma-b-nan", "gamma-m-inf", "points-negative", "detuning-nan"])
+    ["spectrum", "--mode", "diffused", "--set", "telegraph.detuned_offset_GHz=Infinity"],
+], ids=["g-nan", "gamma-b-nan", "gamma-m-inf", "points-negative", "detuning-nan",
+        "telegraph-offset-inf"])
 def test_non_finite_or_too_few_points_exits_2(tmp_path, capsys, args):
     assert run([*args, "--out", tmp_path / "o.csv"]) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
-_FLOAT_FIELDS = [(cls, f.name) for cls in (SystemParams, PulseConfig, InstrumentConfig)
-                 for f in fields(cls) if type(f.default) is float]
+# Every float field of the four config sections, ``float | None`` ones too.
+_FLOAT_FIELDS = [(cls, f.name) for cls in (SystemParams, PulseConfig, InstrumentConfig,
+                                           TelegraphConfig)
+                 for f in fields(cls) if "float" in f.type]
 
 
 @pytest.mark.parametrize("cls,name", _FLOAT_FIELDS,
                          ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
 def test_config_dataclasses_reject_nan(cls, name):
-    with pytest.raises(ValueError):
-        cls(**{name: math.nan})
+    # The dataclasses are the only finiteness guard of a config value.
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cls(**{name: value})
 
 
 def test_trajectory_zero_norm_exits_numeric(tmp_path, monkeypatch, capsys):
@@ -688,6 +695,9 @@ _REFUSED = {
                            "--out", "{inputs}/file/o.csv"],
     "out-is-directory": ["spectrum", "--points", "301", "--no-instrument",
                          "--out", "{inputs}/directory"],
+    "g2-histogram-is-directory": ["g2", "--kind", "auto", "--method", "trajectories",
+                                  "--seed", "1", "--duration-ns", "2000",
+                                  "--out-prefix", "{inputs}/x"],
 }
 # The flag that the mode would ignore, which the one line must name.
 _IGNORED_FLAG = {"regression-instrument": "--instrument", "regression-duration": "--duration-ns",
@@ -710,6 +720,7 @@ def _refused_inputs(folder):
         write_csv(folder / name, {k: np.array(v) for k, v in columns.items()}, {})
     (folder / "file").write_text("")
     (folder / "directory").mkdir()
+    (folder / "x_histogram.csv").mkdir()  # in the way of the last file a g2 writes
     return folder
 
 
@@ -723,7 +734,7 @@ def test_refused_input_exits_2_and_writes_nothing(tmp_path, tmp_path_factory, ca
     inputs = _refused_inputs(tmp_path_factory.mktemp("inputs"))
     before = sorted(inputs.rglob("*"))
     args = [a.format(inputs=inputs) for a in _REFUSED[name]]
-    outputs = [] if "--out" in args else _outputs(args, tmp_path)
+    outputs = [] if {"--out", "--out-prefix"} & set(args) else _outputs(args, tmp_path)
     assert run([*args, *outputs]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")

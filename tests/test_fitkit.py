@@ -221,8 +221,11 @@ class TestAnticrossing:
     def test_crossing_lines_give_zero_g(self):
         dl, lam = synth_anticross(0.0, np.linspace(-0.35, 0.35, 9),
                                   seed=3, noise_nm=0.01 * 0.1066)
-        r = fit_anticrossing(dl, lam, init={"g_GHz": 2.0})
-        assert abs(r.params["g_GHz"]) < 2.0 * r.stderr["g_GHz"] + 0.5
+        r = fit_anticrossing(dl, lam)
+        assert abs(r.params["g_GHz"]) < 0.5
+        # g has a zero Jacobian column here, so J'J is singular: no stderr
+        # may claim that an undetermined parameter is exact
+        assert all(err != 0.0 for err in r.stderr.values())
 
     def test_single_branch_rejected(self):
         dl, lam = synth_anticross(18.4, np.linspace(0.2, 0.4, 8))
@@ -287,8 +290,7 @@ class TestLifetimeCurve:
     def test_flat_data_gives_zero_g(self):
         dls = np.linspace(0.5, 4.0, 8)
         taus = np.full(8, 10.6)
-        r = fit_lifetime_curve(dls, taus, 24.1, 942.5,
-                               init={"g_GHz": 5.0, "gamma_b_GHz": 0.015})
+        r = fit_lifetime_curve(dls, taus, 24.1, 942.5)
         assert abs(r.params["g_GHz"]) < 2.0 * r.stderr["g_GHz"] + 0.5
 
     def test_same_detuning_rejected(self):

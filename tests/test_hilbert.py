@@ -165,10 +165,6 @@ class TestCollapseChannels:
         out = chans["feeder_decay"].operator @ kets[sp.index(hilbert.FEEDER, 0)]
         assert np.vdot(kets[sp.index(hilbert.GROUND, 1)], out) == pytest.approx(1.0)
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            hilbert.CollapseChannel("cavity_loss", -1.0, np.eye(2, dtype=complex))
-
 
 def test_invalid_truncation_rejected():
     with pytest.raises(ValueError):

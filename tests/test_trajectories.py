@@ -60,6 +60,12 @@ def test_no_pump_rejected():
         run_cw(p, RES, duration_ns=100.0, seed=1)
 
 
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+def test_non_finite_duration_rejected(duration):
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        run_cw(TWO_LEVEL, RES, duration_ns=duration, seed=1)
+
+
 def test_ensemble_matches_master_equation():
     p = SystemParams(g_GHz=18.4, gamma_x_GHz=8.5, gamma_m_GHz=24.1,
                      gamma_b_GHz=0.015, pump_GHz=0.05, n_max=1)

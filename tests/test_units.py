@@ -94,10 +94,6 @@ class TestDetuningType:
         d = Detuning.from_GHz(24.1, 942.5)
         assert d.dl_nm == pytest.approx(0.0714, abs=2e-4)
 
-    def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            Detuning(4.1, 999.0, 942.5)
-
     @pytest.mark.parametrize("args", [(math.nan, 942.5), (math.inf, 942.5), (4.1, math.nan)])
     def test_non_finite_rejected(self, args):
         with pytest.raises(ValueError, match="finite"):

@@ -373,7 +373,7 @@ def cmd_g2(args) -> int:
                         "area": report.peak_areas},
                        _meta(cfg, "g2", stage="peak-areas",
                              central_ratio=report.ratio,
-                             half_window_ns=report.half_window_ns)))
+                             half_window_ns=period / 4.0)))
     tables.append((args.out_prefix + "_histogram.csv",
                    {"tau_ns": hist.centers_ns, "counts": hist.counts, "g2": g2},
                    _meta(cfg, "g2", kind=args.kind, stage="histogram",

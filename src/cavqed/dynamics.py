@@ -458,10 +458,7 @@ def g2_cross(p: SystemParams, detuning: Detuning | None,
         raise NumericalError("cross-correlation undefined: one stream has zero rate")
     pos = _propagate_probe(model, sig @ rho @ sig.conj().T, n_m, tau) / denom
     neg = _propagate_probe(model, a @ rho @ a.conj().T, n_x, tau) / denom
-    if tau[0] == 0.0:
-        full_tau = np.concatenate([-tau[::-1], tau[1:]])
-        values = np.concatenate([neg[::-1], pos[1:]])
-    else:
-        full_tau = np.concatenate([-tau[::-1], tau])
-        values = np.concatenate([neg[::-1], pos])
-    return CorrelationTrace(full_tau, values)
+    # A zero delay sits once, on the negative side.
+    after = tau > 0
+    return CorrelationTrace(np.concatenate([-tau[::-1], tau[after]]),
+                            np.concatenate([neg[::-1], pos[after]]))

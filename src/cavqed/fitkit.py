@@ -13,9 +13,12 @@ On top of it sit the four models the analysis pipeline needs:
 * detuning-dependent lifetime from the Lorentzian emission-rate law,
 * (IRF-convolved) exponential decays as Poisson maximum likelihood.
 
-Decay fits minimize the Poisson deviance, which is exact maximum likelihood
-for counting data while reusing the least-squares machinery; they pass their
-analytic Jacobian, chained through the model mean.
+A spectral line of either kernel is area Re F of one analytic function F,
+evaluated once per fit point for both the model and its Jacobian.  Decay fits
+minimize the Poisson deviance, which is exact maximum likelihood for counting
+data while reusing the least-squares machinery; they pass their analytic
+Jacobian, chained through the model mean.  A fit's ``init`` holds start
+values by parameter name and refuses any other key.
 """
 
 from __future__ import annotations
@@ -57,17 +60,16 @@ class FitResult:
     derived: dict = field(default_factory=dict)
 
 
-def _fd_jacobian(residual, x, r0, rel_step=1e-6):
+def _fd_jacobian(residual, x):
     """Central-difference Jacobian, step 1e-6 relative (absolute floor 1e-9)."""
-    n = x.size
-    jac = np.empty((r0.size, n))
-    for k in range(n):
-        h = rel_step * max(abs(x[k]), 1e-3)
+    cols = []
+    for k in range(x.size):
+        h = 1e-6 * max(abs(x[k]), 1e-3)
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        jac[:, k] = (residual(xp) - residual(xm)) / (2.0 * h)
-    return jac
+        cols.append((residual(xp) - residual(xm)) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
@@ -94,7 +96,7 @@ def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
     converged = False
     message = "max iterations reached"
     for n_iter in range(1, 201):
-        jac = jacobian(x) if jacobian is not None else _fd_jacobian(residual, x, r)
+        jac = jacobian(x) if jacobian is not None else _fd_jacobian(residual, x)
         grad = jac.T @ r
         if np.max(np.abs(grad)) < 1e-12 * max(1.0, cost):
             converged, message = True, "gradient below tolerance"
@@ -136,6 +138,16 @@ def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
             pass
     return x, cov, {"n_iterations": n_iter, "converged": converged,
                     "message": message, "residual_norm": math.sqrt(cost)}
+
+
+def _checked_init(init, names, required=()) -> dict:
+    """``init`` as a dict, refusing keys outside ``names`` and missing ``required`` ones."""
+    init = dict(init or {})
+    problems = [f"unknown key {k!r}" for k in init if k not in names]
+    problems += [f"missing key {k!r}" for k in required if k not in init]
+    if problems:
+        raise ValueError(f"init: {', '.join(problems)}; the keys are {', '.join(names)}")
+    return init
 
 
 def _result(names, x, cov, info, derived=None) -> FitResult:
@@ -208,56 +220,43 @@ def _halfmax_width(axis, y, center, floor) -> float:
 # multi-Lorentzian / Voigt spectra
 # ---------------------------------------------------------------------------
 
-def _voigt_z(x, center, fwhm, sigma_g):
-    """z = (x - center + i gamma) / (sigma sqrt 2), gamma = max(|fwhm|, 1e-12) / 2."""
-    gamma = max(abs(fwhm), 1e-12) / 2.0
-    return (x - center + 1j * gamma) / (sigma_g * math.sqrt(2.0))
-
-
-def _line_profile(x, center, fwhm, area, sigma_g, wz=None):
-    """``area`` times the unit-area Lorentzian, or with ``sigma_g`` > 0 the Voigt
-    line Re w(z) / (sigma sqrt(2 pi)); ``wz`` passes w(z) when already known."""
-    if sigma_g == 0.0:
-        gamma = max(abs(fwhm), 1e-12) / 2.0
-        u = x - center
-        return area * (gamma / math.pi / (u * u + gamma * gamma))
-    if wz is None:
-        wz = wofz(_voigt_z(x, center, fwhm, sigma_g))
-    return area * wz.real / (sigma_g * math.sqrt(2.0 * math.pi))
-
-
-def _peaks_jacobian(x, p, n_peaks, sigma_g, wz=None):
-    """Analytic Jacobian of a constant plus ``n_peaks`` :func:`_line_profile` terms.
-
-    The Voigt profile is Re w(z) / (sigma sqrt(2 pi)) with
-    z = (x - center + i gamma) / (sigma sqrt 2), and the Faddeeva function
-    has w'(z) = -2 z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20).
-    ``wz`` passes the lines' w(z) at ``p`` when the model already has them.
-    """
-    jac = np.empty((x.size, p.size))
-    jac[:, 0] = 1.0
+def _lines(x, p, n_peaks, sigma_g):
+    """(F, z) of each line of ``p``: the line is area Re F(zeta), with
+    zeta = x - center + i max(|fwhm|, 1e-12) / 2 and F = i / (pi zeta) at
+    z = zeta (Lorentzian), or with ``sigma_g`` > 0 the Voigt line
+    F = w(z) / (sigma sqrt(2 pi)) at z = zeta / (sigma sqrt 2)."""
+    out = []
     for k in range(n_peaks):
-        c, w, a = p[1 + 3 * k: 4 + 3 * k]
-        h = max(abs(w), 1e-12) / 2.0
-        u = x - c
-        sign = np.sign(w if w != 0 else 1.0)
+        c, w = p[1 + 3 * k: 3 + 3 * k]
+        zeta = x - c + 0.5j * max(abs(w), 1e-12)
         if sigma_g == 0.0:
-            denom = u * u + h * h
-            base = (a / math.pi) * h / denom
-            jac[:, 1 + 3 * k] = (a / math.pi) * h * 2.0 * u / denom**2
-            jac[:, 2 + 3 * k] = 0.5 * (a / math.pi) * (u * u - h * h) / denom**2 * sign
-            jac[:, 3 + 3 * k] = base / a if a != 0 else (1.0 / math.pi) * h / denom
-            continue
-        scale = sigma_g * math.sqrt(2.0)
-        norm = 1.0 / (sigma_g * math.sqrt(2.0 * math.pi))
-        z = _voigt_z(x, c, w, sigma_g)
-        wk = wofz(z) if wz is None else wz[k]
-        # d/du of the profile is the real part of dv, d/dgamma minus its imaginary part
-        dv = (-2.0 * z * wk + 2j / math.sqrt(math.pi)) * (norm / scale)
-        jac[:, 1 + 3 * k] = -a * dv.real
-        jac[:, 2 + 3 * k] = -0.5 * a * dv.imag * sign
-        jac[:, 3 + 3 * k] = norm * wk.real
-    return jac
+            out.append((1j / (math.pi * zeta), zeta))
+        else:
+            z = zeta / (sigma_g * math.sqrt(2.0))
+            out.append((wofz(z) / (sigma_g * math.sqrt(2.0 * math.pi)), z))
+    return out
+
+
+def _peaks_jacobian(x, p, n_peaks, sigma_g, lines=None):
+    """Analytic Jacobian of a constant plus ``n_peaks`` :func:`_lines` terms.
+
+    ``lines`` passes the lines at ``p`` when the model already has them.
+    A line area Re F has the columns -area Re F', -area Im F' sign(fwhm) / 2
+    and Re F.  F' = -F / zeta for the Lorentzian; for the Voigt line it is
+    (-2 z F + 2i / (pi sigma sqrt 2)) / (sigma sqrt 2), as the Faddeeva
+    function has w'(z) = -2 z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20).
+    """
+    if lines is None:
+        lines = _lines(x, p, n_peaks, sigma_g)
+    cols = [np.ones_like(x)]
+    for (f, z), w, a in zip(lines, p[2::3], p[3::3]):
+        if sigma_g == 0.0:
+            df = -f / z
+        else:
+            scale = sigma_g * math.sqrt(2.0)
+            df = (-2.0 * z * f + 2j / (math.pi * scale)) / scale
+        cols += [-a * df.real, -0.5 * a * df.imag * (1.0 if w >= 0 else -1.0), f.real]
+    return np.column_stack(cols)
 
 
 def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
@@ -268,7 +267,9 @@ def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
     Gaussian of that FWHM (a Voigt profile with the Gaussian part held
     fixed), which deconvolves a known instrument response: the reported
     ``fwhm_k`` are then the underlying Lorentzian widths.  Per-peak areas and
-    area fractions are reported in ``derived``.
+    area fractions are reported in ``derived``.  ``init`` gives the start
+    values by parameter name, each but ``background`` (default 0) required;
+    without it they come from the data.
     """
     if not 1 <= n_peaks <= 3:
         raise ValueError("n_peaks must be 1, 2 or 3")
@@ -277,49 +278,37 @@ def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
     if x.size < 3 * n_peaks + 1:
         raise ValueError("not enough samples for the requested peak count")
     sigma_g = gaussian_fwhm * FWHM_TO_SIGMA
-    if init is None:
-        floor = float(np.percentile(y, 5))
-        centers = peak_locations(x, y, n_peaks)
-        widths, areas = [], []
-        for c in centers:
-            w = _halfmax_width(x, y, c, floor)
-            h = float(y[np.argmin(np.abs(x - c))] - floor)
-            widths.append(w)
-            areas.append(max(h, 1e-12) * math.pi * w / 2.0)
-        p0 = [floor]
-        for c, w, a in zip(centers, widths, areas):
-            p0 += [c, w, a]
-    else:
-        p0 = [init.get("background", 0.0)]
-        for k in range(1, n_peaks + 1):
-            p0 += [init[f"center_{k}"], init[f"fwhm_{k}"], init[f"area_{k}"]]
-    p0 = np.asarray(p0, float)
-
-    # levenberg_marquardt asks for the Jacobian at the point of the residual
-    # just before, so the Voigt lines' w(z) there are kept for it.
-    last = {"p": None, "wz": None}
-
-    def residual(p):
-        lines = [p[1 + 3 * k: 4 + 3 * k] for k in range(n_peaks)]
-        wz = [wofz(_voigt_z(x, c, w, sigma_g)) if sigma_g > 0 else None for c, w, _ in lines]
-        last.update(p=p.copy(), wz=wz)
-        out = np.full_like(x, p[0])
-        for (c, w, a), wk in zip(lines, wz):
-            out = out + _line_profile(x, c, w, a, sigma_g, wk)
-        return out - y
-
-    def jacobian(p):
-        wz = last["wz"] if np.array_equal(p, last["p"]) else None
-        return _peaks_jacobian(x, p, n_peaks, sigma_g, wz)
-
-    sol, cov, info = levenberg_marquardt(residual, p0, jacobian=jacobian)
     names = ["background"]
     for k in range(1, n_peaks + 1):
         names += [f"center_{k}", f"fwhm_{k}", f"area_{k}"]
-    sol = sol.copy()
-    for k in range(n_peaks):
-        sol[2 + 3 * k] = abs(sol[2 + 3 * k])
-    areas = np.array([sol[3 + 3 * k] for k in range(n_peaks)])
+    if init is None:
+        floor = float(np.percentile(y, 5))
+        p0 = [floor]
+        for c in peak_locations(x, y, n_peaks):
+            w = _halfmax_width(x, y, c, floor)
+            h = float(y[np.argmin(np.abs(x - c))] - floor)
+            p0 += [c, w, max(h, 1e-12) * math.pi * w / 2.0]
+    else:
+        init = _checked_init(init, names, required=names[1:])
+        p0 = [init.get(name, 0.0) for name in names]
+    p0 = np.asarray(p0, float)
+
+    # levenberg_marquardt asks for the Jacobian at the point of the residual
+    # just before, so the lines there are kept for it.
+    last = {"p": None, "lines": None}
+
+    def residual(p):
+        lines = _lines(x, p, n_peaks, sigma_g)
+        last.update(p=p.copy(), lines=lines)
+        return sum((a * f.real for a, (f, _) in zip(p[3::3], lines)), p[0]) - y
+
+    def jacobian(p):
+        lines = last["lines"] if np.array_equal(p, last["p"]) else None
+        return _peaks_jacobian(x, p, n_peaks, sigma_g, lines)
+
+    sol, cov, info = levenberg_marquardt(residual, p0, jacobian=jacobian)
+    sol[2::3] = np.abs(sol[2::3])
+    areas = sol[3::3]
     total = areas.sum()
     derived = {"gaussian_fwhm": gaussian_fwhm}
     for k in range(n_peaks):
@@ -347,9 +336,9 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
     share a detuning).  Free parameters: the coupling ``g_GHz`` and the
     exciton wavelength anchor ``lambda_x_nm`` that calibrates the cavity
     position lambda_m = lambda_x - dl.  The linewidths entering the complex
-    splitting are held at ``init["gamma_x_GHz"]`` and ``init["gamma_m_GHz"]``
-    (default 8.5 and 24.1 GHz): peak positions barely constrain them, and
-    they are measured independently from the far-detuned spectra.
+    splitting are held at ``init["gamma_x_GHz"]`` and ``init["gamma_m_GHz"]``,
+    its only keys (default 8.5 and 24.1 GHz): peak positions barely constrain
+    them, and they are measured independently from the far-detuned spectra.
     ``fit_offset`` adds a global shift of the detuning axis (off by
     default).  Points are assigned to a branch once, at the initial
     parameters, choosing by wavelength ordering at the largest detuning.
@@ -360,7 +349,7 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
         raise ValueError("need at least 6 (detuning, wavelength) points")
     if np.ptp(dl) <= 0:
         raise ValueError("all points at a single detuning cannot constrain a crossing")
-    init = dict(init or {})
+    init = _checked_init(init, ("gamma_x_GHz", "gamma_m_GHz"))
     lambda_x0 = float(np.median(lam))
     gx = abs(init.get("gamma_x_GHz", 8.5))
     gm = abs(init.get("gamma_m_GHz", 24.1))
@@ -389,7 +378,8 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
         return np.where(on_blue, lam - blue, lam - red)
 
     sol, cov, info = levenberg_marquardt(residual, p0)
-    g, lx = abs(sol[0]), sol[1]
+    sol[0] = abs(sol[0])
+    g, lx = sol[:2]
     derived = {"gamma_x_GHz": gx, "gamma_m_GHz": gm}
     try:
         split_GHz, split_nm = polariton.rabi_splitting(SystemParams(
@@ -398,9 +388,7 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
         derived.update(min_splitting_GHz=split_GHz, min_splitting_nm=split_nm)
     except polariton.WeakCouplingError:
         derived.update(min_splitting_GHz=float("nan"), min_splitting_nm=float("nan"))
-    res = _result(names, sol, cov, info, derived)
-    res.params["g_GHz"] = g
-    return res
+    return _result(names, sol, cov, info, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +487,8 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
     the model with the known Gaussian instrument response, which removes the
     bias a finite detector IRF imprints on fast decays.  Amplitudes may be
     negative (recovery dips); the mean is floored just above zero so the
-    likelihood stays defined.
+    likelihood stays defined.  ``init`` replaces data-derived start values by
+    parameter name; ``fix_t0`` holds the onset, which is then no parameter.
     """
     if isinstance(h, Histogram):
         t, counts = h.centers_ns, np.asarray(h.counts, float)
@@ -508,19 +497,25 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
     if t.size < 10:
         raise ValueError("need at least 10 bins to fit a decay")
     sigma = (irf_fwhm_ns or 0.0) * FWHM_TO_SIGMA
-    init = dict(init or {})
+    if model == "mono":
+        names = ["amplitude", "tau_ns", "t0_ns", "background"]
+    elif model == "bi":
+        names = ["amplitude_1", "tau1_ns", "amplitude_2", "tau2_ns", "t0_ns", "background"]
+    else:
+        raise ValueError("model must be 'mono' or 'bi'")
+    init = _checked_init(init, names)
     # Background: median of the lowest-decile bins, robust to slow decays
     # that never return to baseline inside the window.
     decile = max(t.size // 10, 3)
-    b0 = init.get("background",
-                  max(float(np.median(np.sort(counts)[:decile])), 1e-3))
+    b0 = max(float(np.median(np.sort(counts)[:decile])), 1e-3)
     i_peak = int(np.argmax(counts))
     t0_default = t[i_peak] - 2.0 * sigma if sigma > 0 else float(t[0])
     if fix_t0 is None and sigma == 0 and "t0_ns" not in init:
         # Without a response model the onset is degenerate with the
         # amplitude; pin it at the start of the data.
         fix_t0 = t0_default
-    t0_0 = fix_t0 if fix_t0 is not None else init.get("t0_ns", t0_default)
+    elif fix_t0 is not None and "t0_ns" in init:
+        raise ValueError("init: t0_ns is held at fix_t0, so init may not set it")
     # Log-linear regression over the top decade above background seeds tau.
     tail = counts[i_peak:] - b0
     top = max(float(tail[0]), 1.0)
@@ -531,31 +526,23 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
         tau0 = -1.0 / slope if slope < 0 else (t[-1] - t[0]) / 5.0
     else:
         tau0 = (t[-1] - t[0]) / 5.0
-    tau0 = init.get("tau_ns", init.get("tau1_ns", abs(tau0)))
-    a0 = init.get("amplitude", init.get("amplitude_1", float(counts[i_peak] - b0)))
-
-    if model == "mono":
-        names = ["amplitude", "tau_ns", "t0_ns", "background"]
-        p0 = np.array([a0, tau0, t0_0, b0])
-    elif model == "bi":
-        names = ["amplitude_1", "tau1_ns", "amplitude_2", "tau2_ns", "t0_ns", "background"]
-        p0 = np.array([0.7 * a0, tau0,
-                       init.get("amplitude_2", 0.3 * a0),
-                       init.get("tau2_ns", 3.0 * tau0), t0_0, b0])
-    else:
-        raise ValueError("model must be 'mono' or 'bi'")
-    if fix_t0 is not None:
-        i_t0 = names.index("t0_ns")
-        names = [n for n in names if n != "t0_ns"]
-        p0 = np.delete(p0, i_t0)
+    tau0 = abs(tau0)
+    a0 = float(counts[i_peak] - b0)
+    start = {"amplitude": a0, "tau_ns": tau0, "amplitude_1": 0.7 * a0, "tau1_ns": tau0,
+             "amplitude_2": 0.3 * a0, "tau2_ns": 3.0 * tau0,
+             "t0_ns": t0_default if fix_t0 is None else fix_t0, "background": b0}
+    start.update(init)
+    full = np.array([start[name] for name in names], float)
+    # A fixed onset is held out of the free parameters LM moves.
+    free = np.array([fix_t0 is None or name != "t0_ns" for name in names])
+    names = [name for name, f in zip(names, free) if f]
 
     floor = 1e-9
 
     def raw_mean(p, grad=False):
-        """Model mean per bin; with ``grad`` also d(mean)/dp, one column per name."""
-        q = list(p)
-        if fix_t0 is not None:
-            q.insert(i_t0, fix_t0)
+        """Model mean per bin; with ``grad`` also d(mean)/dp, one column per free name."""
+        q = full.copy()
+        q[free] = p
         # q is (amplitude, tau) pairs, then t0, then the background.
         mu, cols, d_t0 = q[-1], [], 0.0
         for a, tau in zip(q[:-2:2], q[1:-2:2]):
@@ -568,10 +555,7 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
             mu = mu + a * k
         if not grad:
             return mu
-        cols += [d_t0, np.ones_like(t)]
-        if fix_t0 is not None:
-            del cols[i_t0]
-        return mu, np.column_stack(cols)
+        return mu, np.column_stack(cols + [d_t0, np.ones_like(t)])[:, free]
 
     def deviance(mu):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -600,8 +584,8 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
         slope = np.where(mu_raw > floor, slope, 0.0)
         return np.concatenate([slope[:, None] * d_mu, (mu_raw < floor)[:, None] * d_mu])
 
-    sol, cov, info = levenberg_marquardt(residual, p0, jacobian=jacobian, n_data=t.size)
-    sol = sol.copy()
+    sol, cov, info = levenberg_marquardt(residual, full[free], jacobian=jacobian,
+                                         n_data=t.size)
     for i, name in enumerate(names):
         if name.startswith("tau"):
             sol[i] = abs(sol[i])

@@ -78,7 +78,6 @@ class PeakAreaReport:
     ratio: float                  # central area / mean side area
     peak_offsets: np.ndarray      # integer multiples of the period
     peak_areas: np.ndarray
-    half_window_ns: float
     g2: np.ndarray                # counts / mean side-peak level per bin
 
 
@@ -258,7 +257,6 @@ def pulsed_peak_areas(h: Histogram, rep_period_ns: float,
         raise NumericalError("no counts in the side peaks; cannot form a ratio")
     return PeakAreaReport(ratio=central / mean_side,
                           peak_offsets=offsets, peak_areas=areas,
-                          half_window_ns=half_window_ns,
                           g2=h.counts / (mean_side * h.bin_width_ns / (2.0 * half_window_ns)))
 
 

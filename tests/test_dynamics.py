@@ -441,11 +441,9 @@ class TestEmissionSpectrum:
 
     # Only the modal path checks: the direct solve serves only a and σ,
     # whose operands lie off k = 0, where no stationary part sits.
-    @pytest.mark.parametrize("cond_max", [dynamics._COND_MAX])
-    def test_undamped_part_rejected(self, monkeypatch, cond_max):
+    def test_undamped_part_rejected(self):
         # <n(tau) n(0)> tends to <n>^2, a stationary part the resolvent
         # cannot hold (a field with <a> != 0 would do the same)
-        monkeypatch.setattr(dynamics, "_COND_MAX", cond_max)
         model = dynamics.build_model(PAPER, RES)
         rho = steady_state(PAPER, model=model)
         z = 2j * math.pi * np.linspace(-50.0, 50.0, 5)
@@ -511,6 +509,18 @@ class TestG2:
         plus = np.interp(2.0, trace.tau_ns, trace.values)
         minus = np.interp(-2.0, trace.tau_ns, trace.values)
         assert plus > 2.0 * minus
+
+    def test_cross_correlation_grid_without_zero_delay(self):
+        # the 0-based grid holds its zero delay once, on the negative side;
+        # a grid starting above 0 returns the same trace without it
+        model = dynamics.build_model(SMALL, RES)
+        tau = np.arange(0.0, 3.01, 0.25)
+        with_zero = g2_cross(SMALL, RES, tau, model=model)
+        without = g2_cross(SMALL, RES, tau[1:], model=model)
+        keep = with_zero.tau_ns != 0.0
+        assert np.count_nonzero(~keep) == 1
+        assert np.array_equal(without.tau_ns, with_zero.tau_ns[keep])
+        assert np.array_equal(without.values, with_zero.values[keep])
 
     @pytest.mark.parametrize("cond_max", [dynamics._COND_MAX, 0.0])
     @pytest.mark.parametrize("p,dl_nm", [(PAPER, 0.0), (FEEDER, 4.1)])

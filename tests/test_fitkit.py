@@ -119,10 +119,10 @@ class TestLorentzians:
         sigma_g = gaussian_fwhm * FWHM_TO_SIGMA
 
         def residual(q):
-            return q[0] + sum(fitkit._line_profile(x, *q[1 + 3 * k: 4 + 3 * k], sigma_g)
-                              for k in range(3))
+            return q[0] + sum(a * f.real for a, (f, _) in
+                              zip(q[3::3], fitkit._lines(x, q, 3, sigma_g)))
 
-        fd = fitkit._fd_jacobian(residual, p, residual(p))
+        fd = fitkit._fd_jacobian(residual, p)
         analytic = fitkit._peaks_jacobian(x, p, 3, sigma_g)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
 
@@ -186,8 +186,8 @@ class TestVoigtFaddeevaReuse:
         gamma = max(sigma * gamma_ratio, 1e-12)
         x = center + sigma * np.array(offsets)
         expected = voigt_profile(x - center, sigma, gamma)
-        model = fitkit._line_profile(x, center, 2.0 * gamma, 1.0, sigma)
-        np.testing.assert_allclose(model, expected, rtol=1e-13, atol=0.0)
+        [(f, _)] = fitkit._lines(x, np.array([0.0, center, 2.0 * gamma, 1.0]), 1, sigma)
+        np.testing.assert_allclose(f.real, expected, rtol=1e-13, atol=0.0)
 
 
 def synth_anticross(g, dl_list, lambda_x=942.5, gx=8.5, gm=24.1, seed=None,
@@ -381,7 +381,7 @@ class TestDecay:
         points.append(below)
         for p in points:
             analytic = jacobian(p)
-            fd = fitkit._fd_jacobian(residual, p, residual(p))
+            fd = fitkit._fd_jacobian(residual, p)
             scale = np.max(np.abs(fd), axis=0)
             assert np.all(np.abs(analytic - fd) <= 1e-5 * scale)
         assert np.any(jacobian(below)[t.size:] != 0.0)
@@ -399,6 +399,52 @@ class TestDecay:
         iterations = [fit_decay(self._sparse_fast_decay(seed), "mono").n_iterations
                       for seed in range(40)]
         assert np.mean(iterations) < 40.0
+
+
+def _decay_counts():
+    t = np.arange(0.0, 20.0, 0.1) + 0.05
+    return t, np.random.default_rng(11).poisson(2.0 + 300.0 * np.exp(-t / 3.0))
+
+
+def _one_line():
+    x = np.linspace(0.0, 10.0, 101)
+    return Spectrum(x, lorentz(x, 5.0, 2.0, 1.0), "wavelength_nm")
+
+
+class TestInit:
+    @pytest.mark.parametrize("call,named", [
+        (lambda: fit_anticrossing(*synth_anticross(18.4, np.linspace(-0.35, 0.35, 9)),
+                                  init={"g_GHz": 2.0, "lambda_x_nm": 900.0, "bogus": 1}),
+         ["unknown key 'g_GHz'", "unknown key 'lambda_x_nm'", "unknown key 'bogus'"]),
+        (lambda: fit_decay(_decay_counts(), "mono", init={"tau1_ns": 9.0, "bogus": 3}),
+         ["unknown key 'tau1_ns'", "unknown key 'bogus'"]),
+        (lambda: fit_lorentzians(_one_line(), 1, init={"center_1": 5.0, "fwhm_1": 2.0}),
+         ["missing key 'area_1'"]),
+        (lambda: fit_decay(_decay_counts(), "mono", init={"t0_ns": 0.1}, fix_t0=0.0),
+         ["t0_ns is held at fix_t0"]),
+    ], ids=["anticrossing-unknown", "decay-unknown", "lorentzians-missing",
+            "decay-fixed-t0"])
+    def test_keys_outside_the_fit_rejected(self, call, named):
+        with pytest.raises(ValueError) as err:
+            call()
+        for text in named:
+            assert text in str(err.value)
+
+    def test_given_start_values_are_used_unchanged(self, monkeypatch):
+        starts = []
+        real_lm = fitkit.levenberg_marquardt
+
+        def spy(residual, x0, jacobian=None, n_data=None):
+            starts.append(x0.copy())
+            return real_lm(residual, x0, jacobian=jacobian, n_data=n_data)
+
+        monkeypatch.setattr(fitkit, "levenberg_marquardt", spy)
+        fit_decay(_decay_counts(), "bi")
+        fit_decay(_decay_counts(), "bi", init={"amplitude_1": 1000.0, "tau1_ns": 2.0})
+        from_data, given = starts
+        assert list(given[:2]) == [1000.0, 2.0]
+        # amplitude_2, tau2_ns and the background keep their data-derived starts
+        assert np.array_equal(given[2:], from_data[2:])
 
 
 def test_damped_modes_exact():

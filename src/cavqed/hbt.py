@@ -6,12 +6,14 @@ a finite window, CW g2 normalization, and pulsed peak-area analysis, which
 gives the pulsed g2.  Everything operates on plain sorted float arrays of
 click times in ns, so the same code digests simulated and imported data.
 
-Both estimators take the starts in blocks of a fixed size and search only
-the slice of stops that a block can reach; all-pairs then walks the runs
-of stops one lag at a time, gathering short lags in one buffer of a block
-of delays.  No array grows with the click count or the pair count, so
-memory is bounded independently of both.  A histogram has at most
-``MAX_BINS_PER_SIDE`` bins on each side of zero.
+Both estimators take the starts in blocks of ``_BLOCK`` and search only the
+slice of stops that a block can reach.  Start-stop searches each block once,
+and that one search serves both signs of delay; all-pairs searches each
+block twice, for the two window bounds, then walks the runs of stops one lag
+at a time, gathering short lags in one buffer of a block of delays.  Every
+temporary is bounded by a fixed multiple of ``_BLOCK``, whatever the click
+count, the pair count or the ratio of the two streams' rates.  A histogram
+has at most ``MAX_BINS_PER_SIDE`` bins on each side of zero.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ __all__ = [
     "poisson_stream",
 ]
 
-# Starts per block of either estimator and clicks per block of the stream
-# check: the one size that bounds the working memory.
+# Starts per block of either estimator, stops per chunk of a start-stop
+# block and clicks per block of the stream check: the one size that bounds
+# the working memory.
 _BLOCK = 1 << 15
 
 # Ceiling on window_ns / bin_ns, the bins on each side of zero.
@@ -129,25 +132,49 @@ def _all_pairs_counts(starts: np.ndarray, stops: np.ndarray,
 
 
 def _first_stop_counts(starts: np.ndarray, stops: np.ndarray,
-                       edges: np.ndarray, sign: int) -> np.ndarray:
-    """Histogram of sign * (first stop at or after each start - start).
+                       edges: np.ndarray) -> np.ndarray:
+    """The classic TAC's two-sided histogram, one search per block of starts.
 
-    The classic TAC, in blocks of ``_BLOCK`` starts, each searching the
-    stops from its first start up to the first stop at or after its last
-    start.  ``sign`` -1 gives the mirrored side, which drops exact-zero
-    delays: those belong to the positive side only.
+    Positive delays are first stop at or after each start - start; negative
+    ones are -(first start at or after each stop - stop), less the exact
+    zeros, which belong to the positive side only.  Each block of ``_BLOCK``
+    starts is searched once into the stops that earlier blocks did not
+    reach, giving ``below``, the number of stops at or before each start.
+    A start's positive delay is read from stop ``below`` - 1 when that stop
+    equals the start (every stop equal to it gives the same zero delay),
+    else from stop ``below``.  A start is strictly before stop j exactly
+    when its ``below`` is at most j, so a cumulative count of ``below``
+    gives each stop the first start at or after it; the block serves the
+    stops after those of earlier blocks up to its last start, in chunks of
+    at most ``_BLOCK`` stops.  Delays beyond the window are dropped before
+    ``np.histogram`` sorts them.
     """
+    reach = edges[-1]
     counts = np.zeros(edges.size - 1, dtype=np.int64)
+    done = 0  # stops at or before the last start of earlier blocks
     for b in range(0, starts.size, _BLOCK):
         block = starts[b:b + _BLOCK]
-        view = stops[np.searchsorted(stops, block[0], side="left"):
-                     np.searchsorted(stops, block[-1], side="left") + 1]
-        idx = np.searchsorted(view, block, side="left")
-        has = idx < view.size
-        delays = view[idx[has]] - block[has]
-        if sign < 0:
-            delays = delays[delays > 0]
-        counts += np.histogram(sign * delays, bins=edges)[0]
+        end = done + np.searchsorted(stops[done:], block[-1], side="right")
+        below = np.searchsorted(stops[done:end], block, side="right")
+        below += done
+        # below 0 reads the last stop, which is then later than the start
+        tied = stops[below - 1] == block
+        first = below - tied if tied.any() else below
+        k = np.searchsorted(first, stops.size)  # starts with a stop after them
+        after = stops[first[:k]] - block[:k]
+        counts += np.histogram(after[after <= reach], bins=edges)[0]
+        for j0 in range(done, end, _BLOCK):
+            j1 = min(j0 + _BLOCK, end)
+            lo, hi = np.searchsorted(below, (j0, j1))
+            # the first start at or after stop j follows the starts with
+            # below <= j; the block's last start has below = end > j
+            nxt = np.cumsum(np.bincount(below[lo:hi] - j0, minlength=j1 - j0))
+            nxt += lo
+            # stop - start rounds to exactly -(start - stop)
+            before = stops[j0:j1] - block[nxt]
+            counts += np.histogram(before[(before < 0) & (before >= -reach)],
+                                   bins=edges)[0]
+        done = end
     return counts
 
 
@@ -184,9 +211,12 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
     last one closed).  Both signs come from one pass, so an exact-zero delay
     counts once, in the bin starting at 0; start-stop also counts it once,
     on the positive side.  Both estimators work in blocks of a fixed number
-    of starts, all-pairs lag by lag up to the block's longest run of stops
-    through a buffer of a block of delays, so memory is bounded
-    independently of the click count and the pair count.
+    of starts.  Start-stop makes one search of each block into the stops
+    for both signs; all-pairs makes two, one per window bound, and goes lag
+    by lag up to the block's longest run of stops through a buffer of a
+    block of delays.  Every temporary is bounded by a fixed multiple of the
+    block size, so memory is bounded independently of the click count, the
+    pair count and the ratio of the two streams' rates.
 
     Raises ``ValueError`` on an empty, unsorted or non-finite stream, on a
     ``bin_ns`` or ``window_ns`` that is not finite or not in order, and when
@@ -206,8 +236,7 @@ def start_stop_histogram(starts_ns: np.ndarray, stops_ns: np.ndarray,
     if estimator == "all-pairs":
         counts = _all_pairs_counts(starts, stops, edges)
     elif estimator == "start-stop":
-        counts = (_first_stop_counts(starts, stops, edges, 1)
-                  + _first_stop_counts(stops, starts, edges, -1))
+        counts = _first_stop_counts(starts, stops, edges)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     return Histogram(edges, counts, n_starts=starts.size, n_stops=stops.size)

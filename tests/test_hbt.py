@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cavqed import hbt
 from cavqed.hbt import (
@@ -13,6 +14,10 @@ from cavqed.hbt import (
     split_beam,
     start_stop_histogram,
 )
+
+# Click times in half-ns ticks on a short range, so that streams tie often.
+_TICK = st.integers(-30, 30)
+_TICKS = st.lists(_TICK, min_size=1, max_size=40)
 
 
 class TestSplitBeam:
@@ -204,6 +209,50 @@ class TestStartStopHistogram:
             monkeypatch.setattr(hbt, "_BLOCK", block)
             assert np.array_equal(counts(), whole)
 
+    @given(starts=_TICKS, stops=_TICKS, shared=st.lists(_TICK, max_size=12),
+           offset=st.sampled_from([0.0, 1e9]),
+           block=st.sampled_from([1, 2, 7, hbt._BLOCK]))
+    def test_both_estimators_match_matrix_reference(self, starts, stops, shared,
+                                                    offset, block):
+        # half-ns ticks on ±15 ns, with clicks common to both streams:
+        # delays land on bin edges, exactly on ±window, at zero and beyond
+        starts = offset + 0.5 * np.sort(starts + shared).astype(float)
+        stops = offset + 0.5 * np.sort(stops + shared).astype(float)
+        edges = 0.5 * np.arange(-20, 21)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hbt, "_BLOCK", block)
+            for estimator in ("all-pairs", "start-stop"):
+                h = start_stop_histogram(starts, stops, bin_ns=0.5, window_ns=10.0,
+                                         estimator=estimator)
+                assert np.array_equal(h.counts, self._matrix_reference(
+                    starts, stops, edges, estimator))
+
+    @staticmethod
+    def _first_stop_reference(starts, stops, edges):
+        """Start-stop without blocks: one search of all starts into the
+        stops, and one of all stops into the starts."""
+        i = np.searchsorted(stops, starts, side="left")
+        has = i < stops.size
+        after = stops[i[has]] - starts[has]
+        j = np.searchsorted(starts, stops, side="left")
+        has = j < starts.size
+        before = starts[j[has]] - stops[has]
+        return (np.histogram(after, bins=edges)[0]
+                + np.histogram(-before[before > 0], bins=edges)[0])
+
+    @pytest.mark.parametrize("rate_a,rate_b", [(1e-3, 1e-3), (0.02, 0.02), (0.2, 0.2),
+                                               (2e-3, 0.2), (0.2, 2e-3)])
+    def test_start_stop_matches_unblocked_search(self, rate_a, rate_b):
+        # 1e5 clicks in the denser stream: several blocks of starts, or one
+        # block whose stops span several chunks
+        duration = 1e5 / max(rate_a, rate_b)
+        starts = poisson_stream(rate_a, duration, seed=16, stream_index=0)
+        stops = poisson_stream(rate_b, duration, seed=16, stream_index=1)
+        h = start_stop_histogram(starts, stops, bin_ns=0.25, window_ns=100.0,
+                                 estimator="start-stop")
+        assert np.array_equal(h.counts, self._first_stop_reference(
+            starts, stops, h.bin_edges_ns))
+
     @pytest.mark.parametrize("estimator", ["all-pairs", "start-stop"])
     def test_memory_bounded_in_click_count(self, estimator):
         # 0.2 clicks/ns: 4e6 and 4e7 pairs in the window; no temporary may
@@ -216,6 +265,25 @@ class TestStartStopHistogram:
             try:
                 start_stop_histogram(starts, stops, bin_ns=0.25, window_ns=100.0,
                                      estimator=estimator)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 16e6
+        assert peaks[1] - peaks[0] < 1e6
+
+    @pytest.mark.parametrize("rate_a,rate_b", [(2e-3, 0.2), (0.2, 2e-3)])
+    def test_start_stop_memory_bounded_at_lopsided_rates(self, rate_a, rate_b):
+        # one stream 100 times denser than the other: 1e5 and 1e6 clicks in
+        # it, so one block of sparse starts reaches up to 1e6 stops
+        peaks = []
+        for n_clicks in (1e5, 1e6):
+            duration = n_clicks / max(rate_a, rate_b)
+            starts = poisson_stream(rate_a, duration, seed=17, stream_index=0)
+            stops = poisson_stream(rate_b, duration, seed=17, stream_index=1)
+            tracemalloc.start()
+            try:
+                start_stop_histogram(starts, stops, bin_ns=0.25, window_ns=100.0,
+                                     estimator="start-stop")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

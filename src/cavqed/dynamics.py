@@ -13,11 +13,11 @@ L_k from pieces of H and the jump operators and diagonalizes it, L_k = V Λ V⁻
   and σρ in k = −1.
 
 Where a block's cond(V) exceeds ``_COND_MAX`` (near an exceptional point),
-propagation there falls back to ``scipy.linalg.expm`` and the spectrum to a
-direct solve of (2πiΔν − L_k).  Spectra and correlations are summed over
-slices of ``_ROWS`` grid points, so their temporaries stay bounded however
-long the grid.  The steady state is the k = 0 block's one zero-eigenvalue
-mode, read off the same decomposition and cached on the model.
+its damped modes form one cluster: a Schur basis on which L_k acts as a
+small matrix T, so each sum adds a term in e^{Tt} or (2πiΔν − T)⁻¹.
+Spectra and correlations are summed over slices of ``_ROWS`` grid points,
+which bounds their temporaries.  The steady state is the k = 0 block's one
+zero-eigenvalue mode, read off the same decomposition and cached on the model.
 
 Each function takes a detuning or a ``model=`` that carries one.
 Frequencies are ordinary GHz, times ns; the generator itself is in rad/ns.
@@ -54,7 +54,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # Above this cond(V), V e^{Λt} V⁻¹ loses more than ~1e-10 of accuracy and
-# the expm / direct-solve path is used instead.
+# the damped modes are carried as one Schur cluster instead.
 _COND_MAX = 1e6
 # Eigenvalues with Re λ above -_UNDAMPED_REL * max|λ| do not decay within
 # the precision of the decomposition (the stationary state among them).
@@ -65,7 +65,7 @@ _UNDAMPED_WEIGHT = 1e-9
 # Mean population below which an output port is dark (ρss rounding is ~1e-15).
 _DARK = 1e-12
 # Grid rows per slice of a spectrum or correlation sum, which bounds their
-# (rows × modes) temporaries and the expm fallback's (rows × entries) array.
+# (rows × modes) temporaries; a cluster of m modes slices by _ROWS // m.
 _ROWS = 4096
 
 
@@ -122,31 +122,52 @@ def liouvillian(h_ang: np.ndarray, jump_ops: list[np.ndarray], idx: np.ndarray) 
 
 
 class _Block(NamedTuple):
-    """Block L[idx, idx] = V diag(evals) V⁻¹; ``vinv`` is None when cond(V) > _COND_MAX."""
+    """L[idx, idx] = V diag(evals[modes], T, …) V⁻¹; a cluster (g, T) spans orthonormal V[:, g]."""
 
     idx: np.ndarray
     gen: np.ndarray
     evals: np.ndarray
     vecs: np.ndarray
-    vinv: np.ndarray | None
-    cond: float
+    vinv: np.ndarray
+    cond: float  # eig's, also where a cluster replaced columns of V
+    modes: slice | np.ndarray
+    clusters: tuple
 
     def propagate(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """e^{gen t} x for every t, shape (len(t), len(x))."""
-        if self.vinv is None:
-            return np.array([scipy.linalg.expm(self.gen * ti) @ x for ti in t])
-        return (np.exp(np.outer(t, self.evals)) * (self.vinv @ x)) @ self.vecs.T
+        c, m = self.vinv @ x, self.modes
+        out = (np.exp(np.outer(t, self.evals[m])) * c[m]) @ self.vecs[:, m].T
+        for g, tg in self.clusters:
+            for rows in _row_slices(t.size, g.size):
+                out[rows] += (scipy.linalg.expm(np.multiply.outer(t[rows], tg)) @ c[g]
+                              ) @ self.vecs[:, g].T
+        return out
 
 
 def _decompose(idx: np.ndarray, gen: np.ndarray) -> _Block:
-    """Eigendecomposition of the block ``gen`` on the entries ``idx``."""
+    """Eigendecomposition of ``gen`` on ``idx``; past _COND_MAX, damped modes form one cluster."""
     # QZ with B = I instead of geev: geev's scaling balance loses ~1e-8
     # of accuracy when tiny rates (entries ~1e-28) sit next to large ones.
     evals, vecs = scipy.linalg.eig(gen, np.eye(idx.size))
     vecs /= np.linalg.norm(vecs, axis=0)
     cond = float(np.linalg.cond(vecs))
-    vinv = np.linalg.inv(vecs) if cond <= _COND_MAX else None
-    return _Block(idx, gen, evals, vecs, vinv, cond)
+    if cond <= _COND_MAX:
+        return _Block(idx, gen, evals, vecs, np.linalg.inv(vecs), cond, slice(None), ())
+    # A Schur basis replaces the damped modes; the null mode (left eigenvector: the trace) stays.
+    floor = max(1e-12 * np.abs(evals).max(), 1e-14)
+    g = np.flatnonzero(np.abs(evals) >= floor)
+    _, z, dim = scipy.linalg.schur(gen, output="complex", sort=lambda x: abs(x) >= floor)
+    if dim != g.size:
+        raise NumericalError(f"Schur form sorts {dim} damped modes, eig {g.size}")
+    vecs[:, g] = z[:, :dim]
+    vinv = np.linalg.inv(vecs)
+    if not np.tril(vinv[g] @ gen @ vecs[:, g], -1).any():
+        # expm would take a triangular T's superdiagonal as (e^a − e^b)/(a − b),
+        # which cancels for the a ≈ b of an exceptional point; a DFT fills T in.
+        vecs[:, g] = z[:, :dim] @ scipy.linalg.dft(dim, scale="sqrtn")
+        vinv = np.linalg.inv(vecs)
+    return _Block(idx, gen, evals, vecs, vinv, cond, np.flatnonzero(np.abs(evals) < floor),
+                  ((g, vinv[g] @ gen @ vecs[:, g]),))
 
 
 @dataclass(frozen=True)
@@ -304,41 +325,36 @@ def _sources(model: _Model, source: str):
     return [(source, op, w)]
 
 
-def _row_slices(n: int) -> list[slice]:
-    """Consecutive slices of at most ``_ROWS`` rows that cover ``n`` grid rows."""
-    return [slice(s, s + _ROWS) for s in range(0, n, _ROWS)]
+def _row_slices(n: int, width: int = 1) -> list[slice]:
+    """Consecutive slices of at most ``_ROWS // width`` rows (one at least) that cover ``n``."""
+    step = max(_ROWS // width, 1)
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _resolvent(model: _Model, rho_ss: np.ndarray, op: np.ndarray,
                z: np.ndarray, label: str) -> np.ndarray:
-    """Tr(op† (z − L)⁻¹ (op rho_ss)) at every z, the undamped modes removed.
-
-    ``op`` must lower N, as a and σ do: off k = 0 no stationary part makes
-    the direct solve singular at z = 0.
-    """
+    """Tr(op† (z − L)⁻¹ (op rho_ss)) at every z, the undamped modes removed."""
     x0 = (op @ rho_ss).reshape(-1)
     probe0 = op.conj().reshape(-1)
     total = np.zeros(z.size, dtype=complex)
     for k in np.unique(model.orders[x0 != 0]):
         b = model.block(k)
-        x, probe = x0[b.idx], probe0[b.idx]
-        if b.vinv is not None:
-            w = (probe @ b.vecs) * (b.vinv @ x)
-            undamped = b.evals.real >= -_UNDAMPED_REL * float(np.max(np.abs(b.evals)))
-            weight, total_weight = float(np.sum(np.abs(w[undamped]))), float(np.sum(np.abs(w)))
-            if weight > _UNDAMPED_WEIGHT * total_weight:
-                raise NumericalError(
-                    f"{label} correlation has an undamped part ({weight / total_weight:.2e} "
-                    "of its weight), e.g. a coherent field: the spectrum would hold a "
-                    "delta line")
-            evals, w = b.evals[~undamped], w[~undamped]
-            for rows in _row_slices(z.size):
-                total[rows] += (1.0 / np.subtract.outer(z[rows], evals)) @ w
-            continue
-        base = -b.gen
-        ident = np.eye(b.idx.size)
+        r, c = probe0[b.idx] @ b.vecs, b.vinv @ x0[b.idx]
+        w, evals = (r * c)[b.modes], b.evals[b.modes]
+        undamped = evals.real >= -_UNDAMPED_REL * float(np.max(np.abs(b.evals)))
+        weight, total_weight = float(np.sum(np.abs(w[undamped]))), float(np.sum(np.abs(w)))
+        if weight > _UNDAMPED_WEIGHT * total_weight:
+            raise NumericalError(
+                f"{label} correlation has an undamped part ({weight / total_weight:.2e} "
+                "of its weight), e.g. a coherent field: the spectrum would hold a "
+                "delta line")
+        evals, w = evals[~undamped], w[~undamped]
         for rows in _row_slices(z.size):
-            total[rows] += [probe @ np.linalg.solve(base + zi * ident, x) for zi in z[rows]]
+            total[rows] += (1.0 / np.subtract.outer(z[rows], evals)) @ w
+        for g, tg in b.clusters:
+            for rows in _row_slices(z.size, g.size):
+                cz = np.linalg.solve(np.multiply.outer(z[rows], np.eye(g.size)) - tg, c[g])
+                total[rows] += (cz * r[g]).sum(axis=1)
     return total
 
 
@@ -349,9 +365,9 @@ def emission_spectrum(p: SystemParams, detuning: Detuning | None,
 
     S(nu) is the one-sided transform of <op†(tau) op(0)> in the steady state,
     Re Tr(op† (2πi(nu − omega_m) − L)⁻¹ op rho_ss), evaluated through the
-    eigendecomposition of the k = −1 block that a rho_ss and sigma rho_ss
-    occupy (or a direct solve when it is ill-conditioned) on an absolute
-    ordinary-frequency grid.  An undamped part of the
+    decomposition of the k = −1 block that a rho_ss and sigma rho_ss occupy
+    (its modes, plus a solve on the cluster of an ill-conditioned block) on
+    an absolute ordinary-frequency grid.  An undamped part of the
     correlation, which would be a delta line, raises :class:`NumericalError`.
     With ``source="auto"`` the cavity-loss and exciton-background output
     ports are summed with their photon-flux weights, which is what a detector
@@ -402,13 +418,14 @@ def _propagate_probe(model: _Model, x0: np.ndarray, probe: np.ndarray,
     total = np.zeros(tau_grid.size, dtype=complex)
     for k in np.unique(model.orders[x0 != 0]):
         b = model.block(k)
-        x, pr = x0[b.idx], probe[b.idx]
-        w = None if b.vinv is None else (pr @ b.vecs) * (b.vinv @ x)
+        r, c = probe[b.idx] @ b.vecs, b.vinv @ x0[b.idx]
+        w, evals = (r * c)[b.modes], b.evals[b.modes]
         for rows in _row_slices(tau_grid.size):
-            if w is None:
-                total[rows] += b.propagate(x, tau_grid[rows]) @ pr
-            else:
-                total[rows] += np.exp(np.outer(tau_grid[rows], b.evals)) @ w
+            total[rows] += np.exp(np.outer(tau_grid[rows], evals)) @ w
+        for g, tg in b.clusters:
+            for rows in _row_slices(tau_grid.size, g.size):
+                ct = scipy.linalg.expm(np.multiply.outer(tau_grid[rows], tg)) @ c[g]
+                total[rows] += (ct * r[g]).sum(axis=1)
     return total
 
 

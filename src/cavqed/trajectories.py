@@ -14,11 +14,11 @@ P(s) = Tr e^{L₀s}ρ is the probability of no click within s.  A click
 happens when P falls to a uniform draw u, at a time solved to 1e-12
 relative; the channel is drawn with weights Tr(JρJ†) and ρ → JρJ†/Tr.
 The engine forms L₀'s k = 0 block as the model's block of L less the two
-J⊗J* blocks and decomposes it, L₀ = VΛV⁻¹.  It carries the state in that
-eigenbasis, c = V⁻¹ρ, so a no-click stretch multiplies each coordinate by
-its own exponential and nothing is time-stepped; the jumps and the capture
-map act as V⁻¹MV.  Near an exceptional point, where V is ill-conditioned,
-the same loop runs with V = I and e^{L₀s} from ``scipy.linalg.expm``.
+J⊗J* blocks and decomposes it as the model does, L₀ = VΛV⁻¹.  It carries
+the state in that basis, c = V⁻¹ρ, so a no-click stretch multiplies each
+coordinate by its own exponential and nothing is time-stepped; the jumps
+and the capture map act as V⁻¹MV.  Near an exceptional point the damped
+modes form one Schur cluster T, whose coordinates take e^{Ts}.
 
 The click time is a safeguarded Newton solve of log P(s) = log u.  Its
 start is exact: P(0) = Tr ρ = 1, P′(0) = −Σ Tr(JρJ†) and P″(0) are read off
@@ -132,10 +132,10 @@ class ClickStream:
 class _Engine:
     """Conditional-state unravelling of the detected channels of one model.
 
-    The state is carried as c = V⁻¹x, its coordinates in the eigenvectors V
-    of L₀'s k = 0 block, so that a no-click stretch scales each coordinate
-    by its own exponential.  Every operator that acts on the state is held
-    as V⁻¹MV and every row as row·V.  On the expm fallback V = I.
+    The state is carried as c = V⁻¹x, its coordinates in the basis V of
+    L₀'s k = 0 block (see ``dynamics._Block``), so that a no-click stretch
+    scales each mode's coordinate by its own exponential.  Every operator
+    that acts on the state is held as V⁻¹MV and every row as row·V.
     """
 
     def __init__(self, model: dynamics._Model):
@@ -147,13 +147,10 @@ class _Engine:
         ops = {c.label: c.jump_operator for c in model.channels}
         jumps = [self.sandwich(ops[label]) for label in DETECTED]
         b = self.block = dynamics._decompose(idx, gen - sum(jumps))
-        if b.vinv is None:
-            self.vecs = self.vinv = np.eye(idx.size)
-            self._slowest = 0.0
-        else:
-            self.vecs, self.vinv = b.vecs, b.vinv
-            self._slowest = float(np.max(b.evals.real))
-            self._shifted = b.evals - self._slowest
+        self.vecs, self.vinv = b.vecs, b.vinv
+        self._slowest = float(np.max(b.evals.real))
+        self._shifted = b.evals - self._slowest
+        self._clusters = [(g, t - self._slowest * np.eye(g.size)) for g, t in b.clusters]
         self.jumps = [self.to_modes(j) for j in jumps]
         # Row k gives Tr(J_k ρ J_k†); their sum is the click rate −P′.
         emission = np.array([trace @ j for j in jumps])
@@ -175,12 +172,13 @@ class _Engine:
     def stretch(self, c: np.ndarray, s: float) -> np.ndarray:
         """e^{(L₀ − λ_slow)s}c: the state after s with no click, times e^{−λ_slow s}.
 
-        λ_slow is the largest Re λ of L₀ (0 on the expm fallback).  The
-        scaling keeps the state finite long after P itself would underflow.
+        λ_slow is the largest Re λ of L₀, and a cluster T takes e^{(T − λ_slow)s}.
+        The scaling keeps the state finite long after P itself would underflow.
         """
-        if self.block.vinv is None:
-            return scipy.linalg.expm(self.block.gen * s) @ c
-        return c * np.exp(self._shifted * s)
+        y = c * np.exp(self._shifted * s)
+        for g, t in self._clusters:
+            y[g] = scipy.linalg.expm(t * s) @ c[g]
+        return y
 
     def _levels(self, y: np.ndarray, s: float) -> tuple:
         """(log P, (log P)′, (log P)″) at s, for y = stretch(c, s) with Tr c = 1."""

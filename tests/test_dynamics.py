@@ -178,6 +178,26 @@ class TestEvolve:
         exact = [scipy.linalg.expm(full * tt) @ rho0.reshape(-1) for tt in t]
         assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
 
+    def test_triangular_cluster_matches_expm(self):
+        # At n_max = 1 the k = ±1 blocks are block-triangular, and at this
+        # exceptional point their Schur basis alone gives an exactly
+        # triangular T whose coalescing pair sits about 1e-14 apart on the
+        # diagonal.  scipy's expm recomputes a triangular superdiagonal by a
+        # difference quotient that cancels there (error 3.5e-4).
+        p = SystemParams(g_GHz=(30.0 - 2.0) / 4, gamma_x_GHz=30.0, gamma_m_GHz=2.0,
+                         gamma_b_GHz=30.0, pump_GHz=0.0, n_max=1)
+        model = dynamics.build_model(p, RES)
+        assert all(np.tril(tg, -1).any() for k in (-1, 1) for _, tg in model.block(k).clusters)
+        kets = np.eye(model.space.dim, dtype=complex)
+        # a coherence between one and two excitations
+        psi = (kets[model.space.index(hilbert.GROUND, 1)]
+               + kets[model.space.index(hilbert.EXCITON, 1)]) / math.sqrt(2.0)
+        rho0 = np.outer(psi, psi.conj())
+        t = np.linspace(0.0, 0.5, 11)
+        rhos = evolve(rho0, p, t, model=model)
+        exact = [scipy.linalg.expm(_full_generator(model) * tt) @ rho0.reshape(-1) for tt in t]
+        assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
+
     @pytest.mark.parametrize("p,source", [
         (SystemParams(), "cavity"),
         # no dephasing: L at zero frequency has an exactly singular LU pivot
@@ -185,10 +205,10 @@ class TestEvolve:
     ])
     def test_forced_fallback_matches_eigen_path(self, monkeypatch, p, source):
         eig_model = dynamics.build_model(p, RES)
-        assert eig_model.block(0).vinv is not None  # decomposed before the patch
+        assert eig_model.block(0).clusters == ()  # decomposed before the patch
         monkeypatch.setattr(dynamics, "_COND_MAX", 0.0)
         fb_model = dynamics.build_model(p, RES)
-        assert fb_model.block(0).vinv is None
+        assert fb_model.block(0).clusters != ()
         rho0 = _pure(eig_model.space, hilbert.EXCITON, 1)
         t = np.linspace(0.0, 2.0, 9)
         assert np.max(np.abs(evolve(rho0, p, t, model=fb_model)
@@ -220,11 +240,20 @@ class TestEvolve:
         full = _full_generator(model)
         exact = [scipy.linalg.expm(full * tt) @ rho0.reshape(-1) for tt in t]
         assert np.max(np.abs(rhos.reshape(t.size, -1) - exact)) < 1e-9
-        assert all((model.block(k).vinv is None) == (cond_max == 0.0) for k in range(-2, 3))
+        assert all((model.block(k).clusters != ()) == (cond_max == 0.0) for k in range(-2, 3))
 
     @given(g=st.floats(0.0, 40.0), gx=st.floats(0.1, 40.0), gm=st.floats(0.1, 40.0),
            b_share=st.floats(0.0, 1.0), pump=st.floats(0.0, 2.0),
            dw=st.floats(-2000.0, 2000.0), n_max=st.sampled_from([1, 2, 3]))
+    # Exact exceptional points, g = |gamma_m - gamma_x|/4 with no dephasing,
+    # where a 4-fold coalescence sits next to an exactly repeated pair: the
+    # damped modes propagate as one Schur cluster.
+    @example(g=abs(0.112 - 38.136) / 4, gx=38.136, gm=0.112, b_share=1.0, pump=0.0,
+             dw=0.0, n_max=2)
+    @example(g=abs(0.383 - 11.035) / 4, gx=11.035, gm=0.383, b_share=1.0, pump=0.0,
+             dw=0.0, n_max=3)
+    @example(g=abs(0.137 - 19.770) / 4, gx=19.770, gm=0.137, b_share=1.0, pump=0.0,
+             dw=0.0, n_max=3)
     def test_propagation_matches_expm(self, g, gx, gm, b_share, pump, dw, n_max):
         p = SystemParams(g_GHz=g, gamma_x_GHz=gx, gamma_m_GHz=gm,
                          gamma_b_GHz=b_share * gx, pump_GHz=pump, n_max=n_max)
@@ -411,11 +440,11 @@ class TestEmissionSpectrum:
         grid = np.linspace(p.omega_m_GHz - 150, p.omega_m_GHz + 150, 401)
         eig_model = dynamics.build_model(p, RES)
         eig_spec = emission_spectrum(p, RES, grid, source=source, model=eig_model)
-        assert eig_model.block(-1).vinv is not None
+        assert eig_model.block(-1).clusters == ()
         monkeypatch.setattr(dynamics, "_COND_MAX", 0.0)
         fb_model = dynamics.build_model(p, RES)
         fb_spec = emission_spectrum(p, RES, grid, source=source, model=fb_model)
-        assert fb_model.block(-1).vinv is None
+        assert fb_model.block(-1).clusters != ()
         assert np.max(np.abs(fb_spec.intensity - eig_spec.intensity)) < 1e-9
 
     @given(gx=st.floats(1.0, 40.0), gm=st.floats(1.0, 40.0),
@@ -540,7 +569,7 @@ class TestG2:
             got = dynamics._propagate_probe(model, x0, probe, tau)
             want = dynamics._propagate(model, x0.reshape(-1), tau) @ probe.conj().reshape(-1)
             assert np.max(np.abs(got - want)) < 1e-14
-        assert all((model.block(k).vinv is None) == (cond_max == 0.0) for k in (0, -1))
+        assert all((model.block(k).clusters != ()) == (cond_max == 0.0) for k in (0, -1))
 
     def test_zero_emission_rejected(self):
         p = SystemParams(g_GHz=0.0, gamma_x_GHz=0.2, gamma_m_GHz=24.1,
@@ -697,3 +726,25 @@ def test_memory_bounded_in_grid_size(kind):
     # The arrays over the grid (the frequencies or delays, the complex sum,
     # the parts and the normalized outputs) hold under 8 float64 per point.
     assert peak(large) - peak(small) < 8 * 8 * (large - small) + 2e6
+
+
+def test_cluster_memory_bounded():
+    # 3-level, n_max = 3 at the exceptional point: the k = 0 block (32
+    # entries, cond(V) 5e10) carries 31 damped modes as one cluster.  The
+    # e^{T tau} stack over all 4,096 delays would take over 60 MB (measured
+    # 126 MB in all); in slices of _ROWS // 31 delays it took 4.3 MB.
+    p = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5, gamma_m_GHz=24.1,
+                     gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3, emitter_levels=3,
+                     feeder_decay_GHz=0.1224)
+    model = dynamics.build_model(p, RES)
+    b = model.block(0)
+    assert b.cond > dynamics._COND_MAX and [g.size for g, _ in b.clusters] == [31]
+    x0 = _pure(model.space, hilbert.EXCITON, 1)
+    n_m = model.space.a.conj().T @ model.space.a
+    tracemalloc.start()
+    try:
+        dynamics._propagate_probe(model, x0, n_m, np.linspace(0.0, 2.0, 4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

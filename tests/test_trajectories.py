@@ -85,7 +85,7 @@ def test_ensemble_matches_master_equation():
 
 # g = |gamma_x - gamma_m|/4 with no dephasing: a polariton pair of the
 # no-click generator coalesces and its eigenvector matrix is numerically
-# singular, so the engine runs on the model's expm fallback
+# singular, so the engine carries the damped modes as one Schur cluster
 EXCEPTIONAL = SystemParams(g_GHz=abs(8.5 - 24.1) / 4, gamma_x_GHz=8.5,
                            gamma_m_GHz=24.1, gamma_b_GHz=8.5, pump_GHz=0.0, n_max=3)
 
@@ -113,7 +113,8 @@ def test_ill_conditioned_drift_matches_expm():
 class _Reference:
     """Reference engine on block entries x: rtsafe on log P over numpy
     arrays, with P(0) evaluated and no curvature stop.  It has the interface
-    that run_cw and run_pulsed use, with V = I."""
+    that run_cw and run_pulsed use, with V = I.  On a block with a cluster
+    it propagates by scipy.linalg.expm of the whole block."""
 
     def __init__(self, model):
         self.model = model
@@ -125,7 +126,7 @@ class _Reference:
         self.block = dynamics._decompose(idx, gen - sum(self.jumps))
         self.emission = np.array([self.trace @ j for j in self.jumps])
         self._probe = np.vstack([self.trace, -self.emission.sum(axis=0)])
-        if self.block.vinv is not None:
+        if not self.block.clusters:
             self._modal = self._probe @ self.block.vecs
             self._slowest = float(np.max(self.block.evals.real))
             self._shifted = self.block.evals - self._slowest
@@ -141,9 +142,9 @@ class _Reference:
 
     def no_click(self, x):
         b = self.block
-        if b.vinv is None:
+        if b.clusters:
             def state(s):
-                return b.propagate(x, (s,))[0]
+                return scipy.linalg.expm(b.gen * s) @ x
 
             def prob(s):
                 p, dp = (self._probe @ state(s)).real
@@ -230,7 +231,7 @@ REFERENCE_RUNS = {
     "pulsed strong coupling": lambda: run_pulsed(STRONG, RES, STRONG_PULSES, seed=11),
     "single photon": lambda: run_pulsed(SINGLE, SINGLE_DET, SINGLE_PULSES, seed=3),
     "feeder cw": lambda: run_cw(FEEDER, FEEDER_DET, duration_ns=2e5, seed=64),
-    # on the expm fallback (see above); a CW pump would lift the coalescence
+    # through the Schur cluster (see above); a CW pump would lift the coalescence
     "exceptional point": lambda: run_pulsed(EXCEPTIONAL, RES, PulseConfig(n_pulses=400),
                                             seed=5),
 }

@@ -81,7 +81,7 @@ MUTANTS = [
             "tests/test_trajectories.py::test_engine_matches_reference"),
            "CHANGES.md, one block form: the engine's stretch on the cluster"),
     Mutant("null-mode-in-cluster", "src/cavqed/dynamics.py",
-           "floor = max(1e-12 * np.abs(evals).max(), 1e-14)", "floor = 0.0",
+           "floor = _null_floor(evals)", "floor = 0.0",
            ("tests/test_dynamics.py::TestG2::test_modal_sum_matches_full_propagation",
             "tests/test_dynamics.py::test_row_slices_leave_sums_unchanged"),
            "CHANGES.md, one block form: the null mode stays an eigenvector"),
@@ -99,6 +99,27 @@ MUTANTS = [
            ("tests/test_identities.py::test_rate_time_scaling",
             "tests/test_identities.py::test_detuning_mirror"),
            "ROADMAP item 5: a fixed 1 GHz added to the detuning breaks both identities"),
+    Mutant("stale-jacobian", "src/cavqed/fitkit.py",
+           "x, r, cost, jacobian = x_new, r_new, cost_new, jac_new",
+           "x, r, cost = x_new, r_new, cost_new",
+           ("tests/test_fitkit.py::TestEngine::test_jacobian_asked_for_only_at_the_last_residual_point",),
+           "CHANGES.md, one callable per fit model: an accepted step keeps the old Jacobian"),
+    Mutant("deviance-expansion-sign", "src/cavqed/fitkit.py",
+           "-(1.0 - x / 6.0)", "-(1.0 + x / 6.0)",
+           ("tests/test_fitkit.py::TestDecay::test_analytic_jacobian_matches_central_differences",),
+           "CHANGES.md, one callable per fit model: the deviance slope's expansion near c = mu"),
+    Mutant("emg-without-gauss-term", "src/cavqed/fitkit.py",
+           " + sigma**2 * gauss / tau**2", "",
+           ("tests/test_fitkit.py::TestDecay::test_analytic_jacobian_matches_central_differences",),
+           "CHANGES.md, one callable per fit model: dK/dtau of the IRF-blurred kernel"),
+    Mutant("voigt-derivative-unscaled", "src/cavqed/fitkit.py",
+           "2j / (math.pi * scale)", "2j / math.pi",
+           ("tests/test_fitkit.py::TestLorentzians::test_analytic_jacobian_matches_central_differences",),
+           "CHANGES.md, one callable per fit model: the Faddeeva derivative's constant in F'"),
+    Mutant("floored-mean-keeps-slope", "src/cavqed/fitkit.py",
+           "slope = np.where(mu_raw > floor, slope, 0.0)", "pass",
+           ("tests/test_fitkit.py::TestDecay::test_analytic_jacobian_matches_central_differences",),
+           "CHANGES.md, one callable per fit model: deviance rows flat below the mean floor"),
 ]
 
 

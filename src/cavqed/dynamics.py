@@ -144,6 +144,11 @@ class _Block(NamedTuple):
         return out
 
 
+def _null_floor(evals: np.ndarray) -> float:
+    """|λ| below which an eigenvalue counts as zero: 1e-12 of the largest, at least 1e-14."""
+    return max(1e-12 * np.abs(evals).max(), 1e-14)
+
+
 def _decompose(idx: np.ndarray, gen: np.ndarray) -> _Block:
     """Eigendecomposition of ``gen`` on ``idx``; past _COND_MAX, damped modes form one cluster."""
     # QZ with B = I instead of geev: geev's scaling balance loses ~1e-8
@@ -154,7 +159,7 @@ def _decompose(idx: np.ndarray, gen: np.ndarray) -> _Block:
     if cond <= _COND_MAX:
         return _Block(idx, gen, evals, vecs, np.linalg.inv(vecs), cond, slice(None), ())
     # A Schur basis replaces the damped modes; the null mode (left eigenvector: the trace) stays.
-    floor = max(1e-12 * np.abs(evals).max(), 1e-14)
+    floor = _null_floor(evals)
     g = np.flatnonzero(np.abs(evals) >= floor)
     _, z, dim = scipy.linalg.schur(gen, output="complex", sort=lambda x: abs(x) >= floor)
     if dim != g.size:
@@ -204,8 +209,7 @@ class _Model:
     def steady(self) -> np.ndarray:
         """Zero-eigenvalue eigenvector of the k = 0 block, trace-normalized."""
         b, d = self.block(0), self.space.dim
-        mags = np.abs(b.evals)
-        null = np.flatnonzero(mags < max(1e-12 * mags.max(), 1e-14))
+        null = np.flatnonzero(np.abs(b.evals) < _null_floor(b.evals))
         if null.size != 1:
             p = self.params
             why = ""

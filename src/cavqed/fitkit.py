@@ -1,11 +1,13 @@
 """Nonlinear least-squares engine and the standard fit models.
 
 The Levenberg-Marquardt core is self-contained (damping 1e-3 start, x10 on
-rejection, /10 on acceptance, Marquardt diagonal scaling) and accepts an
-analytic Jacobian or falls back to central differences with a 1e-6 relative
-step.  It stops once an accepted step lowers the cost by less than 1e-10
-relative, just above the rounding noise of a cost summed over 10^2-10^3 rows
-(MINPACK's cost-reduction test; scipy's ``least_squares`` defaults to 1e-8).
+rejection, /10 on acceptance, Marquardt diagonal scaling).  A fit hands it
+one callable that returns the residual together with a zero-argument
+Jacobian callable, so the model and its Jacobian share one evaluation and a
+rejected step never pays for a Jacobian.  It stops once an accepted step
+lowers the cost by less than 1e-10 relative, just above the rounding noise
+of a cost summed over 10^2-10^3 rows (MINPACK's cost-reduction test;
+scipy's ``least_squares`` defaults to 1e-8).
 On top of it sit the four models the analysis pipeline needs:
 
 * multi-Lorentzian (optionally Gaussian-blurred, i.e. Voigt) spectra,
@@ -16,9 +18,10 @@ On top of it sit the four models the analysis pipeline needs:
 A spectral line of either kernel is area Re F of one analytic function F,
 evaluated once per fit point for both the model and its Jacobian.  Decay fits
 minimize the Poisson deviance, which is exact maximum likelihood for counting
-data while reusing the least-squares machinery; they pass their analytic
-Jacobian, chained through the model mean.  A fit's ``init`` holds start
-values by parameter name and refuses any other key.
+data while reusing the least-squares machinery; their analytic Jacobian is
+chained through the model mean.  The anti-crossing fit alone has no analytic
+Jacobian and takes central differences with a 1e-6 relative step.  A fit's
+``init`` holds start values by parameter name and refuses any other key.
 """
 
 from __future__ import annotations
@@ -72,9 +75,12 @@ def _fd_jacobian(residual, x):
     return np.column_stack(cols)
 
 
-def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
-    """Minimize ||residual(x)||^2; returns (x, covariance, info dict).
+def levenberg_marquardt(model, x0, n_data=None):
+    """Minimize ||r(x)||^2; returns (x, covariance, info dict).
 
+    ``model(x)`` returns (r(x), jacobian), where ``jacobian()`` gives dr/dx
+    at that x.  It is called only at x0 and at accepted points, once per
+    iteration, and the covariance uses the last one called.
     The damping parameter multiplies the diagonal of J'J, starts at 1e-3
     and moves by factors of 10; a step is accepted only if it lowers the sum
     of squares, so the residual norm is non-increasing over accepted steps.
@@ -90,13 +96,13 @@ def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
     when J'J is singular, as a parameter the data do not determine makes it.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residual(x), dtype=float)
+    r, jacobian = model(x)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     message = "max iterations reached"
     for n_iter in range(1, 201):
-        jac = jacobian(x) if jacobian is not None else _fd_jacobian(residual, x)
+        jac = jacobian()
         grad = jac.T @ r
         if np.max(np.abs(grad)) < 1e-12 * max(1.0, cost):
             converged, message = True, "gradient below tolerance"
@@ -110,12 +116,12 @@ def levenberg_marquardt(residual, x0, jacobian=None, n_data=None):
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(a + lam * np.diag(diag), -grad, rcond=None)
             x_new = x + step
-            r_new = np.asarray(residual(x_new), dtype=float)
+            r_new, jac_new = model(x_new)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
                 rel_step = np.max(np.abs(step) / np.maximum(np.abs(x_new), 1e-12))
-                x, r, cost = x_new, r_new, cost_new
+                x, r, cost, jacobian = x_new, r_new, cost_new, jac_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 if rel_drop < 1e-10 or rel_step < 1e-12:
@@ -237,18 +243,15 @@ def _lines(x, p, n_peaks, sigma_g):
     return out
 
 
-def _peaks_jacobian(x, p, n_peaks, sigma_g, lines=None):
-    """Analytic Jacobian of a constant plus ``n_peaks`` :func:`_lines` terms.
+def _peaks_jacobian(p, sigma_g, lines):
+    """Analytic Jacobian of a constant plus the :func:`_lines` terms ``lines`` at ``p``.
 
-    ``lines`` passes the lines at ``p`` when the model already has them.
     A line area Re F has the columns -area Re F', -area Im F' sign(fwhm) / 2
     and Re F.  F' = -F / zeta for the Lorentzian; for the Voigt line it is
     (-2 z F + 2i / (pi sigma sqrt 2)) / (sigma sqrt 2), as the Faddeeva
     function has w'(z) = -2 z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20).
     """
-    if lines is None:
-        lines = _lines(x, p, n_peaks, sigma_g)
-    cols = [np.ones_like(x)]
+    cols = [np.ones(lines[0][0].shape)]
     for (f, z), w, a in zip(lines, p[2::3], p[3::3]):
         if sigma_g == 0.0:
             df = -f / z
@@ -293,20 +296,12 @@ def fit_lorentzians(data: Spectrum, n_peaks: int, init: dict | None = None,
         p0 = [init.get(name, 0.0) for name in names]
     p0 = np.asarray(p0, float)
 
-    # levenberg_marquardt asks for the Jacobian at the point of the residual
-    # just before, so the lines there are kept for it.
-    last = {"p": None, "lines": None}
-
-    def residual(p):
+    def model(p):
         lines = _lines(x, p, n_peaks, sigma_g)
-        last.update(p=p.copy(), lines=lines)
-        return sum((a * f.real for a, (f, _) in zip(p[3::3], lines)), p[0]) - y
+        r = sum((a * f.real for a, (f, _) in zip(p[3::3], lines)), p[0]) - y
+        return r, lambda: _peaks_jacobian(p, sigma_g, lines)
 
-    def jacobian(p):
-        lines = last["lines"] if np.array_equal(p, last["p"]) else None
-        return _peaks_jacobian(x, p, n_peaks, sigma_g, lines)
-
-    sol, cov, info = levenberg_marquardt(residual, p0, jacobian=jacobian)
+    sol, cov, info = levenberg_marquardt(model, p0)
     sol[2::3] = np.abs(sol[2::3])
     areas = sol[3::3]
     total = areas.sum()
@@ -377,7 +372,9 @@ def fit_anticrossing(dl_nm: np.ndarray, lambda_nm: np.ndarray,
         blue, red = _branch_wavelengths(dl + shift, p[0], p[1], gx, gm)
         return np.where(on_blue, lam - blue, lam - red)
 
-    sol, cov, info = levenberg_marquardt(residual, p0)
+    # Central differences: the branch wavelengths have no analytic Jacobian here.
+    sol, cov, info = levenberg_marquardt(
+        lambda p: (residual(p), lambda: _fd_jacobian(residual, p)), p0)
     sol[0] = abs(sol[0])
     g, lx = sol[:2]
     derived = {"gamma_x_GHz": gx, "gamma_m_GHz": gm}
@@ -422,23 +419,17 @@ def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
     excess = max(1.0 / (2.0 * math.pi * tau[i]) - gamma_b0, 1e-6)
     g0 = math.sqrt(excess * denom[i] / gamma_m_GHz)
 
-    def model(p):
-        g, gb = p
-        return 1.0 / (2.0 * math.pi * (abs(gb) + gamma_m_GHz * g * g / denom))
-
-    def residual(p):
-        return (model(p) - tau) * w
-
-    def jacobian(p):
+    def law(p):
         g, gb = p
         gtot = abs(gb) + gamma_m_GHz * g * g / denom
-        base = -1.0 / (2.0 * math.pi * gtot**2)
-        jac = np.empty((dl.size, 2))
-        jac[:, 0] = base * (2.0 * gamma_m_GHz * g / denom) * w
-        jac[:, 1] = base * math.copysign(1.0, gb) * w
-        return jac
 
-    sol, cov, info = levenberg_marquardt(residual, np.array([g0, gamma_b0]), jacobian=jacobian)
+        def jacobian():
+            base = -1.0 / (2.0 * math.pi * gtot**2)
+            return np.column_stack([base * (2.0 * gamma_m_GHz * g / denom) * w,
+                                    base * math.copysign(1.0, gb) * w])
+        return (1.0 / (2.0 * math.pi * gtot) - tau) * w, jacobian
+
+    sol, cov, info = levenberg_marquardt(law, np.array([g0, gamma_b0]))
     sol = np.abs(sol)
     return _result(["g_GHz", "gamma_b_GHz"], sol, cov, info)
 
@@ -447,10 +438,11 @@ def fit_lifetime_curve(dl_nm: np.ndarray, tau_ns: np.ndarray,
 # exponential decays (Poisson maximum likelihood)
 # ---------------------------------------------------------------------------
 
-def _decay_kernel(t, tau, t0, sigma, grad=False):
-    """Exponential decay starting at t0, optionally Gaussian-blurred.
+def _decay_kernel(t, tau, t0, sigma):
+    """Exponential decay K starting at t0, optionally Gaussian-blurred.
 
-    With ``grad`` returns (K, dK/dtau, dK/dt0).  The kernel uses |tau|, so
+    Returns (K, grad), where ``grad()`` gives (dK/dtau, dK/dt0) from the K
+    already computed.  The kernel uses |tau|, so
     dK/dtau carries sign(tau); with blur, dK/dt0 = K/tau - G and
     dK/dtau = K (u/tau^2 - sigma^2/tau^3) + sigma^2 G / tau^2, where
     u = t - t0 and G is the unit-area Gaussian of width sigma at u.
@@ -460,21 +452,20 @@ def _decay_kernel(t, tau, t0, sigma, grad=False):
     u = t - t0
     if sigma <= 0:
         out = np.where(u >= 0, np.exp(-np.clip(u, 0, None) / tau), 0.0)
-        if not grad:
-            return out
-        return out, sign * out * u / tau**2, out / tau
+        return out, lambda: (sign * out * u / tau**2, out / tau)
     arg = (sigma / tau - u / sigma) / math.sqrt(2.0)
     # Exponentially-modified Gaussian; log-form keeps the product stable.
     log_pre = sigma**2 / (2.0 * tau**2) - u / tau
     out = np.zeros_like(t)
     ok = arg < 25.0
     out[ok] = 0.5 * np.exp(log_pre[ok]) * erfc(arg[ok])
-    if not grad:
-        return out
-    gauss = (np.where(ok, np.exp(-0.5 * (u / sigma) ** 2), 0.0)
-             / (sigma * math.sqrt(2.0 * math.pi)))
-    d_tau = out * (u / tau**2 - sigma**2 / tau**3) + sigma**2 * gauss / tau**2
-    return out, sign * d_tau, out / tau - gauss
+
+    def grad():
+        gauss = (np.where(ok, np.exp(-0.5 * (u / sigma) ** 2), 0.0)
+                 / (sigma * math.sqrt(2.0 * math.pi)))
+        d_tau = out * (u / tau**2 - sigma**2 / tau**3) + sigma**2 * gauss / tau**2
+        return sign * d_tau, out / tau - gauss
+    return out, grad
 
 
 def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
@@ -539,53 +530,39 @@ def fit_decay(h, model: str = "mono", irf_fwhm_ns: float | None = None,
 
     floor = 1e-9
 
-    def raw_mean(p, grad=False):
-        """Model mean per bin; with ``grad`` also d(mean)/dp, one column per free name."""
+    def evaluate(p):
         q = full.copy()
         q[free] = p
         # q is (amplitude, tau) pairs, then t0, then the background.
-        mu, cols, d_t0 = q[-1], [], 0.0
-        for a, tau in zip(q[:-2:2], q[1:-2:2]):
-            if grad:
-                k, k_tau, k_t0 = _decay_kernel(t, tau, q[-2], sigma, grad=True)
+        terms = [(a, *_decay_kernel(t, tau, q[-2], sigma))
+                 for a, tau in zip(q[:-2:2], q[1:-2:2])]
+        mu_raw = sum((a * k for a, k, _ in terms), q[-1])
+        mu = np.maximum(mu_raw, floor)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = 2.0 * (np.where(counts > 0, counts * np.log(counts / mu), 0.0) - (counts - mu))
+        out = np.sign(counts - mu) * np.sqrt(np.maximum(dev, 0.0))
+
+        def jacobian():
+            cols, d_t0 = [], 0.0
+            for a, k, grad in terms:
+                k_tau, k_t0 = grad()
                 cols += [k, a * k_tau]
                 d_t0 = d_t0 + a * k_t0
-            else:
-                k = _decay_kernel(t, tau, q[-2], sigma)
-            mu = mu + a * k
-        if not grad:
-            return mu
-        return mu, np.column_stack(cols + [d_t0, np.ones_like(t)])[:, free]
-
-    def deviance(mu):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(counts > 0, counts * np.log(counts / mu), 0.0)
-        return 2.0 * (term - (counts - mu))
-
-    def residual(p):
-        mu_raw = raw_mean(p)
-        mu = np.maximum(mu_raw, floor)
-        out = np.sign(counts - mu) * np.sqrt(np.maximum(deviance(mu), 0.0))
+            d_mu = np.column_stack(cols + [d_t0, np.ones_like(t)])[:, free]
+            # dr/dmu = sign(c - mu)(1 - c/mu)/sqrt(dev) = -|x|/sqrt(dev), x = 1 - c/mu.
+            # Near c = mu the deviance cancels, so there use its expansion
+            # -(1 - x/6)/sqrt(mu), whose x -> 0 limit is -1/sqrt(mu).
+            x = 1.0 - counts / mu
+            near = np.abs(x) < 1e-3
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = np.where(near, -(1.0 - x / 6.0) / np.sqrt(mu), -np.abs(x) / np.sqrt(dev))
+            slope = np.where(mu_raw > floor, slope, 0.0)
+            return np.concatenate([slope[:, None] * d_mu, (mu_raw < floor)[:, None] * d_mu])
         # Negative model means are unphysical; the penalty keeps a gradient
         # alive where the likelihood floor alone would go flat.
-        return np.concatenate([out, np.minimum(mu_raw - floor, 0.0)])
+        return np.concatenate([out, np.minimum(mu_raw - floor, 0.0)]), jacobian
 
-    def jacobian(p):
-        mu_raw, d_mu = raw_mean(p, grad=True)
-        mu = np.maximum(mu_raw, floor)
-        # dr/dmu = sign(c - mu)(1 - c/mu)/sqrt(dev) = -|x|/sqrt(dev), x = 1 - c/mu.
-        # Near c = mu the deviance cancels, so there use its expansion
-        # -(1 - x/6)/sqrt(mu), whose x -> 0 limit is -1/sqrt(mu).
-        x = 1.0 - counts / mu
-        near = np.abs(x) < 1e-3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(near, -(1.0 - x / 6.0) / np.sqrt(mu),
-                             -np.abs(x) / np.sqrt(deviance(mu)))
-        slope = np.where(mu_raw > floor, slope, 0.0)
-        return np.concatenate([slope[:, None] * d_mu, (mu_raw < floor)[:, None] * d_mu])
-
-    sol, cov, info = levenberg_marquardt(residual, full[free], jacobian=jacobian,
-                                         n_data=t.size)
+    sol, cov, info = levenberg_marquardt(evaluate, full[free], n_data=t.size)
     for i, name in enumerate(names):
         if name.startswith("tau"):
             sol[i] = abs(sol[i])

@@ -25,6 +25,47 @@ def lorentz(x, c, w, a):
     return (a / np.pi) * (w / 2) / ((x - c) ** 2 + (w / 2) ** 2)
 
 
+def with_fd_jacobian(residual):
+    """A levenberg_marquardt model from a residual, with a central-difference Jacobian."""
+    return lambda p: (residual(p), lambda: fitkit._fd_jacobian(residual, p))
+
+
+def captured_model(monkeypatch, fit):
+    """The (model, x0) that ``fit()`` hands to levenberg_marquardt."""
+    seen = {}
+    real_lm = fitkit.levenberg_marquardt
+
+    def spy(model, x0, n_data=None):
+        seen.update(model=model, x0=x0)
+        return real_lm(model, x0, n_data=n_data)
+
+    monkeypatch.setattr(fitkit, "levenberg_marquardt", spy)
+    fit()
+    return seen["model"], seen["x0"]
+
+
+def recorded_fit(monkeypatch, fit):
+    """``fit()`` and its events in order: ("model", p, None) for each model
+    call and ("jacobian", p, J) for each Jacobian call, p the model's point."""
+    events = []
+    real_lm = fitkit.levenberg_marquardt
+
+    def spy(model, x0, n_data=None):
+        def recorded(p):
+            events.append(("model", p.copy(), None))
+            r, jacobian = model(p)
+
+            def recorded_jacobian():
+                jac = jacobian()
+                events.append(("jacobian", p.copy(), jac))
+                return jac
+            return r, recorded_jacobian
+        return real_lm(recorded, x0, n_data=n_data)
+
+    monkeypatch.setattr(fitkit, "levenberg_marquardt", spy)
+    return fit(), events
+
+
 class TestEngine:
     def test_residual_norm_never_increases(self):
         xs = np.linspace(-3, 3, 101)
@@ -36,7 +77,7 @@ class TestEngine:
             norms.append(float(np.sqrt(r @ r)))
             return r
 
-        x, cov, info = levenberg_marquardt(residual, np.array([1.0, 0.0, 1.0]))
+        x, cov, info = levenberg_marquardt(with_fd_jacobian(residual), np.array([1.0, 0.0, 1.0]))
         assert info["converged"]
         assert x == pytest.approx([2.0, 0.4, 0.7], rel=1e-6)
         # norms recorded at accepted iterates are non-increasing; rejected
@@ -54,7 +95,7 @@ class TestEngine:
 
         for sign in (-1, 1):
             x0 = truth * (1 + 0.2 * sign)
-            x, _, info = levenberg_marquardt(residual, x0)
+            x, _, info = levenberg_marquardt(with_fd_jacobian(residual), x0)
             assert np.abs(x / truth - 1).max() < 1e-6
 
     def test_stall_is_not_reported_as_converged(self):
@@ -71,10 +112,28 @@ class TestEngine:
             return -np.column_stack([e, p[0] * t * e / p[1] ** 2])
 
         x0 = np.array([1.0, 0.5])
-        x, _, info = levenberg_marquardt(residual, x0, jacobian=negated_jacobian)
+        x, _, info = levenberg_marquardt(lambda p: (residual(p), lambda: negated_jacobian(p)),
+                                         x0)
         assert np.array_equal(x, x0)
         assert not info["converged"]
         assert "minimum" not in info["message"]
+
+    @pytest.mark.parametrize("fit", [
+        lambda: fit_lorentzians(_voigt_triplet(), 3, gaussian_fwhm=0.021),
+        lambda: fit_decay(_irf_decay_counts(np.random.default_rng(10)), "mono",
+                          irf_fwhm_ns=0.07),
+    ], ids=["voigt", "irf-decay"])
+    def test_jacobian_asked_for_only_at_the_last_residual_point(self, monkeypatch, fit):
+        result, events = recorded_fit(monkeypatch, fit)
+        assert result.converged and result.n_iterations > 1
+        calls = [i for i, (kind, _, _) in enumerate(events) if kind == "jacobian"]
+        assert len(calls) == result.n_iterations
+        # The first call is at x0; each is for the point of the model call
+        # just before it, so a rejected trial never gets a Jacobian.
+        assert calls[0] == 1
+        for i in calls:
+            assert events[i - 1][0] == "model"
+            assert np.array_equal(events[i][1], events[i - 1][1])
 
 
 class TestLorentzians:
@@ -113,18 +172,19 @@ class TestLorentzians:
             fit_lorentzians(Spectrum(x, np.ones(5), "wavelength_nm"), 2)
 
     @pytest.mark.parametrize("gaussian_fwhm", [0.0, 0.6, 2.0])
-    def test_analytic_jacobian_matches_central_differences(self, gaussian_fwhm):
+    def test_analytic_jacobian_matches_central_differences(self, monkeypatch, gaussian_fwhm):
         x = np.linspace(-10.0, 10.0, 801)
         p = np.array([0.1, -3.0, 1.2, 2.0, 0.5, -0.8, 1.0, 4.0, 2.0, 0.7])
         sigma_g = gaussian_fwhm * FWHM_TO_SIGMA
-
-        def residual(q):
-            return q[0] + sum(a * f.real for a, (f, _) in
-                              zip(q[3::3], fitkit._lines(x, q, 3, sigma_g)))
-
-        fd = fitkit._fd_jacobian(residual, p)
-        analytic = fitkit._peaks_jacobian(x, p, 3, sigma_g)
-        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+        y = p[0] + sum(a * voigt_profile(x - c, sigma_g, abs(w) / 2.0)
+                       for c, w, a in p[1:].reshape(3, 3))
+        names = ["background"] + [f"{name}_{k}" for k in (1, 2, 3)
+                                  for name in ("center", "fwhm", "area")]
+        model, _ = captured_model(monkeypatch, lambda: fit_lorentzians(
+            Spectrum(x, y, "wavelength_nm"), 3, init=dict(zip(names, p)),
+            gaussian_fwhm=gaussian_fwhm))
+        fd = fitkit._fd_jacobian(lambda q: model(q)[0], p)
+        np.testing.assert_allclose(model(p)[1](), fd, rtol=1e-6, atol=1e-9)
 
 
 def _voigt_triplet():
@@ -137,42 +197,37 @@ def _voigt_triplet():
     return Spectrum(x, y, "wavelength_nm")
 
 
+def _irf_decay_counts(rng):
+    """A decay of lifetime 0.5 ns from 0.3 ns on a 0.5-count background, 20 ps bins."""
+    t = np.arange(0.0, 3.0, 0.02) + 0.01
+    onset = np.clip(t - 0.3, 0, None)
+    return t, rng.poisson(0.5 + 150.0 * np.exp(-onset / 0.5) * (t >= 0.3))
+
+
 class TestVoigtFaddeevaReuse:
     def test_jacobian_adds_no_faddeeva_evaluation(self, monkeypatch):
-        calls = {"wofz": 0, "residual": 0, "jacobian": 0}
-        real_wofz, real_lm = fitkit.wofz, fitkit.levenberg_marquardt
+        wofz_calls = []
+        real_wofz = fitkit.wofz
 
         def counting_wofz(z):
-            calls["wofz"] += 1
+            wofz_calls.append(z)
             return real_wofz(z)
 
-        def counting_lm(residual, x0, jacobian=None, n_data=None):
-            def counted(name, f):
-                def call(p):
-                    calls[name] += 1
-                    return f(p)
-                return call
-            return real_lm(counted("residual", residual), x0,
-                           jacobian=counted("jacobian", jacobian), n_data=n_data)
-
         monkeypatch.setattr(fitkit, "wofz", counting_wofz)
-        monkeypatch.setattr(fitkit, "levenberg_marquardt", counting_lm)
-        r = fit_lorentzians(_voigt_triplet(), 3, gaussian_fwhm=0.021)
-        assert r.converged and calls["jacobian"] > 1
-        assert calls["wofz"] == 3 * calls["residual"]
+        r, events = recorded_fit(monkeypatch, lambda: fit_lorentzians(
+            _voigt_triplet(), 3, gaussian_fwhm=0.021))
+        kinds = [kind for kind, _, _ in events]
+        assert r.converged and kinds.count("jacobian") > 1
+        assert len(wofz_calls) == 3 * kinds.count("model")
 
     def test_reused_faddeeva_gives_the_recomputed_jacobian_bit_for_bit(self, monkeypatch):
-        real = fitkit._peaks_jacobian
-        reused = []
-
-        def checked(x, p, n_peaks, sigma_g, wz=None):
-            jac = real(x, p, n_peaks, sigma_g, wz)
-            if wz is not None:
-                reused.append(np.array_equal(jac, real(x, p, n_peaks, sigma_g)))
-            return jac
-
-        monkeypatch.setattr(fitkit, "_peaks_jacobian", checked)
-        r = fit_lorentzians(_voigt_triplet(), 3, gaussian_fwhm=0.021)
+        spectrum = _voigt_triplet()
+        sigma_g = 0.021 * FWHM_TO_SIGMA
+        r, events = recorded_fit(monkeypatch, lambda: fit_lorentzians(
+            spectrum, 3, gaussian_fwhm=0.021))
+        reused = [np.array_equal(jac, fitkit._peaks_jacobian(
+                      p, sigma_g, fitkit._lines(spectrum.axis, p, 3, sigma_g)))
+                  for kind, p, jac in events if kind == "jacobian"]
         assert r.converged and reused and all(reused)
 
     # The model rounds z = (x - c + i gamma) / (sigma sqrt 2) differently from
@@ -358,21 +413,10 @@ class TestDecay:
     def test_analytic_jacobian_matches_central_differences(self, monkeypatch, model,
                                                           irf_fwhm_ns, fix_t0):
         rng = np.random.default_rng(10)
-        t = np.arange(0.0, 3.0, 0.02) + 0.01
-        onset = np.clip(t - 0.3, 0, None)
-        counts = rng.poisson(0.5 + 150.0 * np.exp(-onset / 0.5) * (t >= 0.3))
-        seen = {}
-        real_lm = fitkit.levenberg_marquardt
-
-        def spy(residual, x0, jacobian=None, n_data=None):
-            seen.update(residual=residual, jacobian=jacobian, x0=x0)
-            return real_lm(residual, x0, jacobian=jacobian, n_data=n_data)
-
-        monkeypatch.setattr(fitkit, "levenberg_marquardt", spy)
+        t, counts = _irf_decay_counts(rng)
         init = {"t0_ns": 0.3} if irf_fwhm_ns is None and fix_t0 is None else None
-        fit_decay((t, counts), model, irf_fwhm_ns=irf_fwhm_ns, init=init, fix_t0=fix_t0)
-        residual, jacobian, x0 = seen["residual"], seen["jacobian"], seen["x0"]
-        assert jacobian is not None
+        evaluate, x0 = captured_model(monkeypatch, lambda: fit_decay(
+            (t, counts), model, irf_fwhm_ns=irf_fwhm_ns, init=init, fix_t0=fix_t0))
         points = [x0 * (1.0 + 0.1 * rng.standard_normal(x0.size)) for _ in range(4)]
         # The background sits last: below the 1e-9 mean floor the tail bins
         # have flat deviance rows and live penalty rows.
@@ -380,11 +424,11 @@ class TestDecay:
         below[-1] = -0.4
         points.append(below)
         for p in points:
-            analytic = jacobian(p)
-            fd = fitkit._fd_jacobian(residual, p)
+            analytic = evaluate(p)[1]()
+            fd = fitkit._fd_jacobian(lambda q: evaluate(q)[0], p)
             scale = np.max(np.abs(fd), axis=0)
             assert np.all(np.abs(analytic - fd) <= 1e-5 * scale)
-        assert np.any(jacobian(below)[t.size:] != 0.0)
+        assert np.any(evaluate(below)[1]()[t.size:] != 0.0)
 
     @staticmethod
     def _sparse_fast_decay(seed):
@@ -434,9 +478,9 @@ class TestInit:
         starts = []
         real_lm = fitkit.levenberg_marquardt
 
-        def spy(residual, x0, jacobian=None, n_data=None):
+        def spy(model, x0, n_data=None):
             starts.append(x0.copy())
-            return real_lm(residual, x0, jacobian=jacobian, n_data=n_data)
+            return real_lm(model, x0, n_data=n_data)
 
         monkeypatch.setattr(fitkit, "levenberg_marquardt", spy)
         fit_decay(_decay_counts(), "bi")
